@@ -42,12 +42,10 @@ import time
 
 import numpy as np
 
-from . import fdcheck, laplace, poisson, quantities, studio, verify
+from . import __version__, fdcheck, laplace, poisson, quantities, studio, verify
 from .config import HarmonicTruncation, MotorDesign, load_design
 from .errors import HalmotorError, NoConvergence, SingularSystem
 from .halbach import fourier_coefficients
-
-_VERSION = "0.1.0"
 
 _MODELS = {
     "laplace": (laplace.solve_coefficients, laplace.evaluate_fields),
@@ -118,7 +116,7 @@ class Run:
             "config": self.config,
             "params": self.params,
             "outputs": self.outputs,
-            "version": _VERSION,
+            "version": __version__,
             "duration_s": time.perf_counter() - self.started,
         })
 
@@ -128,6 +126,19 @@ def _load(args: argparse.Namespace) -> tuple[MotorDesign, HarmonicTruncation]:
     if getattr(args, "nmax", None) is not None:
         trunc = HarmonicTruncation(args.nmax)
     return design, trunc
+
+
+def _count_at_least(low: int):
+    """argparse type for an integer count of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _grid_spec(text: str) -> tuple[int, int]:
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="halmotor",
         description="Field solutions and design studies for slotless "
                     "double-sided Halbach linear motors.")
-    parser.add_argument("--version", action="version", version=_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
@@ -386,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("force", cmd_force, "thrust profile and force-angle sweep")
     p.add_argument("--x0", type=float, default=None,
                    help="array shift in m (default: force-angle optimum)")
-    p.add_argument("--nt", type=int, default=720,
+    p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
-    p.add_argument("--nscan", type=int, default=360,
+    p.add_argument("--nscan", type=_count_at_least(1), default=360,
                    help="force-angle sweep points (default 360)")
 
     p = sub("emf", cmd_emf, "flux linkage, back-EMF, and phase currents")
     p.add_argument("--x0", type=float, default=0.0,
                    help="array shift in m (default 0)")
-    p.add_argument("--nt", type=int, default=720,
+    p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
 
     p = sub("normal", cmd_normal, "attraction force and misalignment sweep")
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", type=_bounds_spec, action="append",
                    required=True, metavar="KEY=LO:HI",
                    help="axis bounds, one of lam/h_m/h_c (repeatable)")
-    p.add_argument("--coarse", type=int, default=9,
+    p.add_argument("--coarse", type=_count_at_least(2), default=9,
                    help="coarse grid points per axis (default 9)")
     p.add_argument("--passes", type=int, default=2,
                    help="refinement passes (default 2)")

@@ -23,6 +23,17 @@ with a = n k g_e, b = n k (g_e + h_m).  With back iron the top face is an
 iron equipotential and the last two rows collapse to
 
     -A2 e^b - B2 e^-b = -k_n / (n k).
+
+These raw amplitudes span hundreds of orders of magnitude across the
+harmonics, so they are never formed.  What is solved and stored are the
+equilibrated unknowns
+
+    (x1, x2, x3, x4, x5) = (A1 e^a, B1, A2 e^b, B2 e^-a, B3 e^-b),
+
+which stay of the order of the source terms for every n.  Each region's
+terms then read x e^{nk (y - y_face)} with a non-positive exponent, e.g.
+A1 e^{nky} = x1 e^{nk(y - g_e)} and B3 e^{-nky} = x5 e^{-nk(y - top)}, so
+no truncation order overflows.
 """
 from __future__ import annotations
 
@@ -35,12 +46,6 @@ from .config import MU0, MotorDesign
 from .errors import OutOfDomain, SingularSystem
 from .halbach import HarmonicSource
 
-# Harmonics whose exponent nk(g_e+h_m) exceeds this cap are dropped: their
-# raw matrix entries overflow float64 while their airgap contribution
-# carries a factor below 1e-100.  Dropping them is exact at double
-# precision.
-EXPONENT_CAP = 600.0
-
 _RESIDUAL_TOL = 1e-12
 
 
@@ -48,25 +53,24 @@ _RESIDUAL_TOL = 1e-12
 class FieldCoefficients:
     """Solved per-harmonic coefficients for one model and topology.
 
-    `B3` is None for the back-iron topology (region III does not exist).
-    Harmonics beyond the overflow cap are present with zero coefficients;
-    the leading `n_active` entries are the solved ones.
+    x1..x5 are the equilibrated unknowns of the module docstring, one entry
+    per harmonic in `n`.  `x5` is None for the back-iron topology (region
+    III does not exist).
     """
 
     model: str
     back_iron: bool
     n: np.ndarray
-    A1: np.ndarray
-    B1: np.ndarray
-    A2: np.ndarray
-    B2: np.ndarray
-    B3: np.ndarray | None
-    n_active: int
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray
+    x4: np.ndarray
+    x5: np.ndarray | None
 
     def stack(self) -> np.ndarray:
-        cols = [self.A1, self.B1, self.A2, self.B2]
-        if self.B3 is not None:
-            cols.append(self.B3)
+        cols = [self.x1, self.x2, self.x3, self.x4]
+        if self.x5 is not None:
+            cols.append(self.x5)
         return np.stack(cols, axis=1)
 
 
@@ -93,9 +97,10 @@ def assemble_system(design: MotorDesign, source: HarmonicSource,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw boundary matrix and right-hand side for one harmonic.
 
-    Returned without scaling, exactly as written in the module docstring.
-    Prefer `solve_coefficients` for actual solving; it equilibrates the
-    columns before factorization, which matters for high harmonics.
+    Returned without scaling, exactly as written in the module docstring,
+    for the raw amplitudes (A1, B1, A2, B2, B3).  Prefer
+    `solve_coefficients` for actual solving; it equilibrates the columns
+    before factorization, which matters for high harmonics.
     """
     i = np.nonzero(source.n == n)[0]
     if len(i) != 1:
@@ -129,16 +134,13 @@ def assemble_system(design: MotorDesign, source: HarmonicSource,
 
 
 def _scaled_system(design: MotorDesign, nk: np.ndarray, S: np.ndarray,
-                   K: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-equilibrated batch of the boundary systems.
+                   K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch of the boundary systems in the equilibrated unknowns x1..x5.
 
-    With unknowns rescaled as (A1, B1, A2, B2, B3) =
-    diag(e^-a, 1, e^-b, e^a, e^b) x every matrix entry lands in [-1, 1]
-    whatever the harmonic order, so the batched dense solve stays well
-    conditioned up to the overflow cap.
+    Every matrix entry lands in [-1, 1] whatever the harmonic order, so the
+    batched dense solve stays well conditioned for any truncation.
     """
-    a = nk * design.g_e
-    ema = np.exp(-a)
+    ema = np.exp(-nk * design.g_e)
     emd = np.exp(-nk * design.h_m)
     H = len(nk)
     z = np.zeros(H)
@@ -151,7 +153,6 @@ def _scaled_system(design: MotorDesign, nk: np.ndarray, S: np.ndarray,
             np.stack([z, z, -o, -emd], axis=1),
         ], axis=1)
         rhs = np.stack([z, S, K, -K], axis=1)
-        scales = np.stack([ema, o, ema * emd, np.exp(a)], axis=1)
     else:
         A = np.stack([
             np.stack([ema, o, z, z, z], axis=1),
@@ -161,12 +162,10 @@ def _scaled_system(design: MotorDesign, nk: np.ndarray, S: np.ndarray,
             np.stack([z, z, -o, -emd, o], axis=1),
         ], axis=1)
         rhs = np.stack([z, S, K, -S, -K], axis=1)
-        b = nk * (design.g_e + design.h_m)
-        scales = np.stack([ema, o, np.exp(-b), np.exp(a), np.exp(b)], axis=1)
-    return A, rhs, scales
+    return A, rhs
 
 
-def _batch_solve(A: np.ndarray, rhs: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _batch_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         x = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -177,65 +176,59 @@ def _batch_solve(A: np.ndarray, rhs: np.ndarray, scales: np.ndarray) -> np.ndarr
     if np.any(res[live] > _RESIDUAL_TOL * nb[live]):
         worst = float((res[live] / nb[live]).max())
         raise SingularSystem(f"boundary solve residual {worst:.2e} exceeds contract")
-    return scales * x
-
-
-def _active_mask(design: MotorDesign, source: HarmonicSource) -> np.ndarray:
-    nk = source.n * design.k
-    mask = nk * (design.g_e + design.h_m) <= EXPONENT_CAP
-    # orders are sorted ascending, so the mask is a prefix
-    return mask
+    return x
 
 
 def _pack(design: MotorDesign, source: HarmonicSource, model: str,
-          active: np.ndarray, cols: list[np.ndarray]) -> FieldCoefficients:
-    ncol = len(cols)
-    full = np.zeros((len(source.n), ncol))
-    for j, c in enumerate(cols):
-        full[active, j] = c
+          x: np.ndarray) -> FieldCoefficients:
     return FieldCoefficients(
         model=model, back_iron=design.back_iron, n=source.n.copy(),
-        A1=full[:, 0], B1=full[:, 1], A2=full[:, 2], B2=full[:, 3],
-        B3=None if design.back_iron else full[:, 4],
-        n_active=int(active.sum()))
+        x1=x[:, 0], x2=x[:, 1], x3=x[:, 2], x4=x[:, 3],
+        x5=None if design.back_iron else x[:, 4])
+
+
+def _solve_hybrid(design: MotorDesign, source: HarmonicSource,
+                  model: str) -> FieldCoefficients:
+    nk = source.n * design.k
+    A, rhs = _scaled_system(design, nk, source.sigma_n / (MU0 * nk),
+                            source.k_n / nk)
+    return _pack(design, source, model, _batch_solve(A, rhs))
 
 
 def solve_coefficients(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
     """Dense per-harmonic solve, the reference path for all field results."""
-    active = _active_mask(design, source)
-    nka = (source.n * design.k)[active]
-    S = source.sigma_n[active] / (MU0 * nka)
-    K = source.k_n[active] / nka
-    A, rhs, scales = _scaled_system(design, nka, S, K)
-    coeffs = _batch_solve(A, rhs, scales)
-    return _pack(design, source, "laplace", active,
-                 [coeffs[:, j] for j in range(coeffs.shape[1])])
+    return _solve_hybrid(design, source, "laplace")
 
 
 def closed_form_coefficients(design: MotorDesign,
                              source: HarmonicSource) -> FieldCoefficients:
-    """Closed-form solution of the same systems, kept as a cross-check."""
-    active = _active_mask(design, source)
-    nka = (source.n * design.k)[active]
-    S = source.sigma_n[active] / (MU0 * nka)
-    K = source.k_n[active] / nka
-    a = nka * design.g_e
-    b = nka * (design.g_e + design.h_m)
+    """Closed-form solution of the same systems, kept as a cross-check.
+
+    Written in the equilibrated unknowns with e_a = e^-a, e_d = e^{-nk h_m}
+    and e_b = e_a e_d, so every exponential is at most 1.
+    """
+    nk = source.n * design.k
+    S = source.sigma_n / (MU0 * nk)
+    K = source.k_n / nk
+    ea = np.exp(-nk * design.g_e)
+    ed = np.exp(-nk * design.h_m)
+    eb = ea * ed
     if design.back_iron:
-        denom = 2 * np.sinh(b)
-        A1 = (S * np.sinh(nka * design.h_m) + K * (1 - np.cosh(nka * design.h_m))) / denom
-        B1 = -A1
-        A2 = -(S * np.exp(-b) * np.sinh(a) + K * (np.exp(-b) * np.cosh(a) - 1)) / denom
-        B2 = (S * np.exp(b) * np.sinh(a) + K * (np.exp(b) * np.cosh(a) - 1)) / denom
-        cols = [A1, B1, A2, B2]
+        D = 2 * (1 - eb ** 2)
+        x1 = (S * (1 - ed ** 2) - K * (1 - ed) ** 2) / D
+        x2 = -ea * x1
+        x3 = -(S * (ed - ea * eb) + K * (ed + ea * eb - 2)) / D
+        x4 = (S * (1 - ea ** 2) + K * (1 + ea ** 2 - 2 * ea * eb)) / D
+        cols = [x1, x2, x3, x4]
     else:
-        A1 = 0.5 * (S - K) * (np.exp(-a) - np.exp(-b))
-        B1 = -A1
-        A2 = -0.5 * (S - K) * np.exp(-b)
-        B2 = 0.5 * K * (2 * np.cosh(a) - np.exp(-b)) + 0.5 * S * (2 * np.sinh(a) + np.exp(-b))
-        B3 = S * (np.sinh(a) - np.sinh(b)) + K * (np.cosh(a) - np.cosh(b))
-        cols = [A1, B1, A2, B2, B3]
-    return _pack(design, source, "laplace", active, cols)
+        x1 = 0.5 * (S - K) * (1 - ed)
+        x2 = -0.5 * (S - K) * (ea - eb)
+        x3 = -0.5 * (S - K)
+        x4 = 0.5 * K * (1 + ea ** 2 - ea * eb) + 0.5 * S * (1 - ea ** 2 + ea * eb)
+        x5 = (0.5 * S * (ed - ea * eb - 1 + eb ** 2)
+              + 0.5 * K * (ed + ea * eb - 1 - eb ** 2))
+        cols = [x1, x2, x3, x4, x5]
+    return _pack(design, source, "laplace", np.stack(cols, axis=1))
 
 
 def classify_region(design: MotorDesign, y: float) -> str:
@@ -251,6 +244,30 @@ def classify_region(design: MotorDesign, y: float) -> str:
     return "III"
 
 
+def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, x: float,
+                  y: float, region: str | None):
+    """One region's expansion at (x, y), shared by every point evaluator.
+
+    Returns (region, nk, sin nkx, cos nkx, P, Q) with P = A e^{nky} the
+    growing and Q = B e^{-nky} the decaying term of each harmonic, both
+    formed from the stored unknowns through non-positive exponents.
+    """
+    if region is None:
+        region = classify_region(design, y)
+    nk = coeffs.n * design.k
+    top = design.g_e + design.h_m
+    if region == "I":
+        P = coeffs.x1 * np.exp(nk * (y - design.g_e))
+        Q = coeffs.x2 * np.exp(-nk * y)
+    elif region == "II":
+        P = coeffs.x3 * np.exp(nk * (y - top))
+        Q = coeffs.x4 * np.exp(nk * (design.g_e - y))
+    else:
+        P = 0.0
+        Q = coeffs.x5 * np.exp(nk * (top - y))
+    return region, nk, np.sin(nk * x), np.cos(nk * x), P, Q
+
+
 def evaluate_fields(design: MotorDesign, source: HarmonicSource,
                     coeffs: FieldCoefficients, x: float, y: float,
                     region: str | None = None) -> FieldSample:
@@ -264,34 +281,15 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
     `region` forces a specific region's expansion, which is how the two
     one-sided limits at an interface are obtained.
     """
-    if region is None:
-        region = classify_region(design, y)
-    act = slice(0, coeffs.n_active)
-    nk = coeffs.n[act] * design.k
-    s = np.sin(nk * x)
-    c = np.cos(nk * x)
-    if region == "I":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A1, B1 = coeffs.A1[act], coeffs.B1[act]
-        psi = float(((A1 * ep + B1 * em) * s).sum())
-        hx = float((-nk * (A1 * ep + B1 * em) * c).sum())
-        hy = float((-nk * (A1 * ep - B1 * em) * s).sum())
-        return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
+    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
+    psi = float(((P + Q) * s).sum())
+    hx = float((-nk * (P + Q) * c).sum())
+    hy = float((-nk * (P - Q) * s).sum())
     if region == "II":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A2, B2 = coeffs.A2[act], coeffs.B2[act]
-        psi = float(((A2 * ep + B2 * em) * s).sum())
-        hx_m = float((-nk * (A2 * ep + B2 * em) * c).sum())
-        hy = float((-nk * (A2 * ep - B2 * em) * s).sum())
-        Mx = float((source.M_xn[act] * c).sum())
-        My = float((source.M_yn[act] * s).sum())
+        Mx = float((source.M_xn * c).sum())
+        My = float((source.M_yn * s).sum())
         return FieldSample(x, y, region,
-                           MU0 * hx_m, MU0 * (hy + My), hx_m - Mx, hy, psi, None)
-    B3 = coeffs.B3[act]
-    em = np.exp(-nk * y)
-    psi = float((B3 * em * s).sum())
-    hx = float((-nk * B3 * em * c).sum())
-    hy = float((nk * B3 * em * s).sum())
+                           MU0 * hx, MU0 * (hy + My), hx - Mx, hy, psi, None)
     return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
 
 
@@ -299,13 +297,14 @@ def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
                x: np.ndarray, y: float, shift: float = 0.0) -> np.ndarray:
     """Vectorized B_y in region I at height y with the mover shifted.
 
-    Uses B1 = -A1: B_y = -2 mu0 sum nk A1 cosh(nk y) sin(nk (x - shift)).
+    Uses B1 = -A1: B_y = -2 mu0 sum nk A1 cosh(nk y) sin(nk (x - shift)),
+    with A1 cosh(nk y) = x1 (e^{nk(y - g_e)} + e^{-nk(y + g_e)}) / 2.
     """
     if not 0 <= y <= design.g_e:
         raise OutOfDomain("y", y, "region I spans 0 <= y <= g_e")
-    act = slice(0, coeffs.n_active)
-    nk = coeffs.n[act] * design.k
-    amp = -2 * MU0 * nk * coeffs.A1[act] * np.cosh(nk * y)
+    nk = coeffs.n * design.k
+    amp = -MU0 * nk * coeffs.x1 * (np.exp(nk * (y - design.g_e))
+                                   + np.exp(-nk * (y + design.g_e)))
     return np.sin(np.outer(np.asarray(x, dtype=float) - shift, nk)) @ amp
 
 

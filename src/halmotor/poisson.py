@@ -9,13 +9,15 @@ Two more routes to the same physical field:
   particular term (mu0 M_yn / nk) cos nkx in region II, B_x = dA/dy,
   B_y = -dA/dx.
 
-Both reduce to small per-harmonic systems like the hybrid model.  The
-scalar-Poisson system turns out to share its matrix and right-hand side
-with the hybrid one, so their coefficients agree identically; the vector
-route has its own system whose solution maps onto the hybrid coefficients
-as (A1', B1', A2', B2', B3') = mu0 (-A1, B1, -A2, B2, B3).  Keeping all
-three routes independent is the point: agreement of the evaluated fields
-is one of the package's standing self-checks.
+Both reduce to small per-harmonic systems like the hybrid model, and both
+store the same equilibrated unknowns (see `halmotor.laplace`).  The
+scalar-Poisson system shares its matrix and right-hand side with the
+hybrid one, so its coefficients are derived rather than solved again; it
+keeps its own region-II field bookkeeping.  The vector route has its own
+system, whose solution maps onto the hybrid coefficients as
+(x1', x2', x3', x4', x5') = mu0 (-x1, x2, -x3, x4, x5).  It stays an
+independent solve: agreement of the evaluated fields is one of the
+package's standing self-checks.
 """
 from __future__ import annotations
 
@@ -26,63 +28,18 @@ from .halbach import HarmonicSource
 from .laplace import (
     FieldCoefficients,
     FieldSample,
-    _active_mask,
     _batch_solve,
     _pack,
-    classify_region,
+    _region_terms,
+    _solve_hybrid,
 )
 
 MODEL_SCALAR = "poisson-scalar"
 MODEL_VECTOR = "poisson-vector"
 
 
-def _scaled_system_scalar(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
-                          Myn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equilibrated rows for the scalar-Poisson route.
-
-    Raw rows (unknowns A1, B1, A2, B2, B3; a = nk g_e, b = nk (g_e+h_m)):
-
-        A1 + B1 = 0
-        A1 e^a - B1 e^-a - A2 e^a + B2 e^-a = -M_yn / nk
-        -A1 e^a - B1 e^-a + A2 e^a + B2 e^-a = -M_xn / nk
-        A2 e^b - B2 e^-b + B3 e^-b = M_yn / nk
-        -A2 e^b - B2 e^-b + B3 e^-b = M_xn / nk
-
-    With back iron the last two collapse to A2 e^b + B2 e^-b = -M_xn / nk
-    (H_x of the total field vanishes on the iron face, and psi carries the
-    particular term there).
-    """
-    a = nk * design.g_e
-    ema = np.exp(-a)
-    emd = np.exp(-nk * design.h_m)
-    H = len(nk)
-    z = np.zeros(H)
-    o = np.ones(H)
-    if design.back_iron:
-        A = np.stack([
-            np.stack([ema, o, z, z], axis=1),
-            np.stack([o, -ema, -emd, o], axis=1),
-            np.stack([-o, -ema, emd, o], axis=1),
-            np.stack([z, z, o, emd], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, -Myn / nk, -Mxn / nk, -Mxn / nk], axis=1)
-        scales = np.stack([ema, o, ema * emd, np.exp(a)], axis=1)
-    else:
-        b = nk * (design.g_e + design.h_m)
-        A = np.stack([
-            np.stack([ema, o, z, z, z], axis=1),
-            np.stack([o, -ema, -emd, o, z], axis=1),
-            np.stack([-o, -ema, emd, o, z], axis=1),
-            np.stack([z, z, o, -emd, o], axis=1),
-            np.stack([z, z, -o, -emd, o], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, -Myn / nk, -Mxn / nk, Myn / nk, Mxn / nk], axis=1)
-        scales = np.stack([ema, o, np.exp(-b), np.exp(a), np.exp(b)], axis=1)
-    return A, rhs, scales
-
-
 def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
-                          Myn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          Myn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrated rows for the vector-potential route.
 
     Raw rows (unknowns A1', B1', A2', B2', B3'):
@@ -95,10 +52,9 @@ def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
 
     Back iron replaces the last two with A2' e^b - B2' e^-b = mu0 M_xn /nk
     (B_x of the homogeneous part matches the magnetization term at the
-    iron face).
+    iron face).  The unknowns are scaled as in the hybrid route.
     """
-    a = nk * design.g_e
-    ema = np.exp(-a)
+    ema = np.exp(-nk * design.g_e)
     emd = np.exp(-nk * design.h_m)
     H = len(nk)
     z = np.zeros(H)
@@ -111,9 +67,7 @@ def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
             np.stack([z, z, o, -emd], axis=1),
         ], axis=1)
         rhs = np.stack([z, MU0 * Myn / nk, -MU0 * Mxn / nk, MU0 * Mxn / nk], axis=1)
-        scales = np.stack([ema, o, ema * emd, np.exp(a)], axis=1)
     else:
-        b = nk * (design.g_e + design.h_m)
         A = np.stack([
             np.stack([ema, -o, z, z, z], axis=1),
             np.stack([o, ema, -emd, -o, z], axis=1),
@@ -123,38 +77,40 @@ def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
         ], axis=1)
         rhs = np.stack([z, MU0 * Myn / nk, -MU0 * Mxn / nk,
                         -MU0 * Myn / nk, MU0 * Mxn / nk], axis=1)
-        scales = np.stack([ema, o, np.exp(-b), np.exp(a), np.exp(b)], axis=1)
-    return A, rhs, scales
+    return A, rhs
 
 
 def solve_scalar(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
-    active = _active_mask(design, source)
-    nka = (source.n * design.k)[active]
-    A, rhs, scales = _scaled_system_scalar(design, nka, source.M_xn[active],
-                                           source.M_yn[active])
-    coeffs = _batch_solve(A, rhs, scales)
-    return _pack(design, source, MODEL_SCALAR, active,
-                 [coeffs[:, j] for j in range(coeffs.shape[1])])
+    """Scalar-Poisson coefficients, derived from the hybrid system.
+
+    Raw rows (unknowns A1, B1, A2, B2, B3; a = nk g_e, b = nk (g_e+h_m)):
+
+        A1 + B1 = 0
+        A1 e^a - B1 e^-a - A2 e^a + B2 e^-a = -M_yn / nk
+        -A1 e^a - B1 e^-a + A2 e^a + B2 e^-a = -M_xn / nk
+        A2 e^b - B2 e^-b + B3 e^-b = M_yn / nk
+        -A2 e^b - B2 e^-b + B3 e^-b = M_xn / nk
+
+    With back iron the last two collapse to A2 e^b + B2 e^-b = -M_xn / nk.
+    Since M_xn = -k_n and M_yn = -sigma_n / mu0 these are the hybrid rows
+    (the back-iron row only changes sign), so the solutions coincide.
+    """
+    return _solve_hybrid(design, source, MODEL_SCALAR)
 
 
 def solve_vector(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
-    active = _active_mask(design, source)
-    nka = (source.n * design.k)[active]
-    A, rhs, scales = _scaled_system_vector(design, nka, source.M_xn[active],
-                                           source.M_yn[active])
-    coeffs = _batch_solve(A, rhs, scales)
-    return _pack(design, source, MODEL_VECTOR, active,
-                 [coeffs[:, j] for j in range(coeffs.shape[1])])
+    nk = source.n * design.k
+    A, rhs = _scaled_system_vector(design, nk, source.M_xn, source.M_yn)
+    return _pack(design, source, MODEL_VECTOR, _batch_solve(A, rhs))
 
 
 def vector_from_hybrid(coeffs: FieldCoefficients) -> FieldCoefficients:
     """The closed-form map from hybrid to vector-potential coefficients."""
     return FieldCoefficients(
         model=MODEL_VECTOR, back_iron=coeffs.back_iron, n=coeffs.n.copy(),
-        A1=-MU0 * coeffs.A1, B1=MU0 * coeffs.B1,
-        A2=-MU0 * coeffs.A2, B2=MU0 * coeffs.B2,
-        B3=None if coeffs.B3 is None else MU0 * coeffs.B3,
-        n_active=coeffs.n_active)
+        x1=-MU0 * coeffs.x1, x2=MU0 * coeffs.x2,
+        x3=-MU0 * coeffs.x3, x4=MU0 * coeffs.x4,
+        x5=None if coeffs.x5 is None else MU0 * coeffs.x5)
 
 
 def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
@@ -165,36 +121,17 @@ def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
     Here psi already contains the particular magnetization term in region
     II, so H_x is a plain gradient there; B adds the truncated M back.
     """
-    if region is None:
-        region = classify_region(design, y)
-    act = slice(0, coeffs.n_active)
-    nk = coeffs.n[act] * design.k
-    s = np.sin(nk * x)
-    c = np.cos(nk * x)
-    if region == "I":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A1, B1 = coeffs.A1[act], coeffs.B1[act]
-        psi = float(((A1 * ep + B1 * em) * s).sum())
-        hx = float((-nk * (A1 * ep + B1 * em) * c).sum())
-        hy = float((-nk * (A1 * ep - B1 * em) * s).sum())
-        return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
+    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
+    psi = float(((P + Q) * s).sum())
+    hx = float((-nk * (P + Q) * c).sum())
+    hy = float((-nk * (P - Q) * s).sum())
     if region == "II":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A2, B2 = coeffs.A2[act], coeffs.B2[act]
-        Mx = source.M_xn[act]
-        My = source.M_yn[act]
-        psi = float(((A2 * ep + B2 * em) * s).sum() + ((Mx / nk) * s).sum())
-        hx = float((-nk * (A2 * ep + B2 * em) * c).sum() - (Mx * c).sum())
-        hy = float((-nk * (A2 * ep - B2 * em) * s).sum())
-        Mx_t = float((Mx * c).sum())
-        My_t = float((My * s).sum())
+        Mx_t = float((source.M_xn * c).sum())
+        My_t = float((source.M_yn * s).sum())
+        psi += float(((source.M_xn / nk) * s).sum())
+        hx -= Mx_t
         return FieldSample(x, y, region,
                            MU0 * (hx + Mx_t), MU0 * (hy + My_t), hx, hy, psi, None)
-    B3 = coeffs.B3[act]
-    em = np.exp(-nk * y)
-    psi = float((B3 * em * s).sum())
-    hx = float((-nk * B3 * em * c).sum())
-    hy = float((nk * B3 * em * s).sum())
     return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
 
 
@@ -202,33 +139,15 @@ def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
                            coeffs: FieldCoefficients, x: float, y: float,
                            region: str | None = None) -> FieldSample:
     """Physical fields from the vector potential (B first, then H = B/mu0 - M)."""
-    if region is None:
-        region = classify_region(design, y)
-    act = slice(0, coeffs.n_active)
-    nk = coeffs.n[act] * design.k
-    s = np.sin(nk * x)
-    c = np.cos(nk * x)
-    if region == "I":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A1, B1 = coeffs.A1[act], coeffs.B1[act]
-        Az = float(((A1 * ep + B1 * em) * c).sum())
-        Bx = float((nk * (A1 * ep - B1 * em) * c).sum())
-        By = float((nk * (A1 * ep + B1 * em) * s).sum())
-        return FieldSample(x, y, region, Bx, By, Bx / MU0, By / MU0, None, Az)
+    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
+    Az = float(((P + Q) * c).sum())
+    Bx = float((nk * (P - Q) * c).sum())
+    By = float((nk * (P + Q) * s).sum())
     if region == "II":
-        ep, em = np.exp(nk * y), np.exp(-nk * y)
-        A2, B2 = coeffs.A2[act], coeffs.B2[act]
-        My = source.M_yn[act]
-        Az = float(((A2 * ep + B2 * em) * c).sum() + ((MU0 * My / nk) * c).sum())
-        Bx = float((nk * (A2 * ep - B2 * em) * c).sum())
-        By = float((nk * (A2 * ep + B2 * em) * s).sum() + MU0 * (My * s).sum())
-        Mx_t = float((source.M_xn[act] * c).sum())
-        My_t = float((My * s).sum())
+        Mx_t = float((source.M_xn * c).sum())
+        My_t = float((source.M_yn * s).sum())
+        Az += float(((MU0 * source.M_yn / nk) * c).sum())
+        By += MU0 * My_t
         return FieldSample(x, y, region, Bx, By,
                            Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)
-    B3 = coeffs.B3[act]
-    em = np.exp(-nk * y)
-    Az = float((B3 * em * c).sum())
-    Bx = float((-nk * B3 * em * c).sum())
-    By = float((nk * B3 * em * s).sum())
     return FieldSample(x, y, region, Bx, By, Bx / MU0, By / MU0, None, Az)

@@ -60,11 +60,19 @@ class PowerBalance:
     max_rel_dev: float
 
 
-def _active(design: MotorDesign, coeffs: FieldCoefficients):
-    act = slice(0, coeffs.n_active)
-    ns = coeffs.n[act].astype(float)
+def _amplitudes(design: MotorDesign, coeffs: FieldCoefficients):
+    """Orders, wavenumbers, A1 and A1 sinh(nk h_c) from the stored x1.
+
+    A1 = x1 e^{-nk g_e}; the sinh product is formed as
+    x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2 so it cannot overflow.
+    """
+    ns = coeffs.n.astype(float)
     nk = ns * design.k
-    return ns, nk, coeffs.A1[act]
+    x1 = coeffs.x1
+    A1 = x1 * np.exp(-nk * design.g_e)
+    A1_sinh = 0.5 * x1 * (np.exp(nk * (design.h_c - design.g_e))
+                          - np.exp(-nk * (design.h_c + design.g_e)))
+    return ns, nk, A1, A1_sinh
 
 
 def _edge_phases(design: MotorDesign, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,6 +87,23 @@ def _edge_phases(design: MotorDesign, ns: np.ndarray) -> tuple[np.ndarray, np.nd
     return left, right
 
 
+def _window_sums(design: MotorDesign, ns: np.ndarray, nk: np.ndarray,
+                 amp: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot-window sums per phase m and array shift s.
+
+    Returns sum_h amp_h [f(l_mh - nk_h s) - f(r_mh - nk_h s)] for f = cos
+    and f = sin, with l, r the slot-edge angles.  The angle-difference
+    identities leave cos and sin to take of (H, S) arrays only, not of
+    (N_ph, H, S) ones.  amp is (H,) or (K, H); the sums are (..., N_ph, S).
+    """
+    left, right = _edge_phases(design, ns)
+    dc = amp[..., None, :] * (np.cos(left) - np.cos(right))
+    ds = amp[..., None, :] * (np.sin(left) - np.sin(right))
+    motion = np.outer(nk, shifts)
+    cm, sm = np.cos(motion), np.sin(motion)
+    return dc @ cm + ds @ sm, ds @ cm - dc @ sm
+
+
 def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
            x_0: float = 0.0) -> ForceResult:
     """Per-phase thrust on the array from the closed-form slot integrals.
@@ -87,14 +112,10 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
     force over the grid relative to its mean.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, A1 = _active(design, coeffs)
-    amp = -8 * MU0 * design.L / nk * A1 * np.sinh(nk * design.h_c)
-    left, right = _edge_phases(design, ns)
-    motion = nk[None, :, None] * (design.u * ts + x_0)[None, None, :]
-    window = (np.cos(left[:, :, None] - motion)
-              - np.cos(right[:, :, None] - motion))
-    J = all_phase_currents(design, ts)
-    per_phase = J * np.einsum("h,mht->mt", amp, window)
+    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
+    amp = -8 * MU0 * design.L / nk * A1_sinh
+    window, _ = _window_sums(design, ns, nk, amp, design.u * ts + x_0)
+    per_phase = all_phase_currents(design, ts) * window
     total = per_phase.sum(axis=0)
     mean = float(total.mean())
     ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / mean
@@ -117,7 +138,7 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
     evaluate B_y on an nx-by-ny grid, and integrate.  The factor 2 counts
     both airgaps.
     """
-    ns, nk, A1 = _active(design, coeffs)
+    nk = coeffs.n * design.k
     xs = (np.arange(nx) + 0.5) * design.lam / nx
     ys = (np.arange(ny) + 0.5) * design.h_c / ny
     Jm = all_phase_currents(design, float(t))[:, 0]
@@ -128,8 +149,10 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
         Jx += Jm[m - 1] * (((xs - xl) % design.lam) < ws)
         Jx -= Jm[m - 1] * (((xs - xl - design.lam / 2) % design.lam) < ws)
     shift = design.u * float(t) + x_0
-    By = (np.cosh(np.outer(ys, nk)) * (-2 * MU0 * nk * A1)
-          @ np.sin(np.outer(nk, xs - shift))).T
+    # -2 mu0 nk A1 cosh(nk y), through the overflow-free form of airgap_B_y
+    amp = -MU0 * nk * coeffs.x1 * (np.exp(np.outer(ys - design.g_e, nk))
+                                   + np.exp(-np.outer(ys + design.g_e, nk)))
+    By = (amp @ np.sin(np.outer(nk, xs - shift))).T
     integral = float((Jx[:, None] * By).sum()) * (design.lam / nx) * (design.h_c / ny)
     return 2 * design.L * integral
 
@@ -138,14 +161,10 @@ def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
                       n_scan: int = 360, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t versus array shift x_0 over one wavelength."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    ns, nk, A1 = _active(design, coeffs)
-    amp = -8 * MU0 * design.L / nk * A1 * np.sinh(nk * design.h_c)
-    left, right = _edge_phases(design, ns)
-    motion = nk[None, :, None] * (design.u * t + x0s)[None, None, :]
-    window = (np.cos(left[:, :, None] - motion)
-              - np.cos(right[:, :, None] - motion))
-    J = all_phase_currents(design, float(t))
-    totals = (J * np.einsum("h,mht->mt", amp, window)).sum(axis=0)
+    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
+    amp = -8 * MU0 * design.L / nk * A1_sinh
+    window, _ = _window_sums(design, ns, nk, amp, design.u * t + x0s)
+    totals = (all_phase_currents(design, float(t)) * window).sum(axis=0)
     return x0s, totals
 
 
@@ -166,18 +185,15 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
     harmonic.  EMF is its exact time derivative.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, A1 = _active(design, coeffs)
+    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
     ws = design.slot_width
-    amp_lam = (-8 * MU0 * design.L * design.N_turns * A1 * np.sinh(nk * design.h_c)
+    amp_lam = (-8 * MU0 * design.L * design.N_turns * A1_sinh
                / (nk ** 2 * design.h_c * ws))
-    amp_emf = (-8 * MU0 * design.L * design.u * design.N_turns * A1
-               * np.sinh(nk * design.h_c) / (nk * design.h_c * ws))
-    left, right = _edge_phases(design, ns)
-    motion = nk[None, :, None] * (design.u * ts + x_0)[None, None, :]
-    dl = left[:, :, None] - motion
-    dr = right[:, :, None] - motion
-    linkage = np.einsum("h,mht->mt", amp_lam, np.sin(dr) - np.sin(dl))
-    emf = np.einsum("h,mht->mt", amp_emf, np.cos(dl) - np.cos(dr))
+    amp_emf = (-8 * MU0 * design.L * design.u * design.N_turns * A1_sinh
+               / (nk * design.h_c * ws))
+    cos_w, sin_w = _window_sums(design, ns, nk, np.stack([amp_emf, amp_lam]),
+                                design.u * ts + x_0)
+    emf, linkage = cos_w[0], -sin_w[1]
     current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
     return EmfResult(ts, linkage, emf, current)
 
@@ -212,7 +228,7 @@ def attraction_force(design: MotorDesign, coeffs: FieldCoefficients) -> float:
     B_y(x, 0) = -2 mu0 sum nk A1 sin nkx and the x-average of sin^2 gives
     F_y = 2 mu0 L (lambda/2) sum (nk A1)^2 per wavelength per side.
     """
-    _, nk, A1 = _active(design, coeffs)
+    _, nk, A1, _ = _amplitudes(design, coeffs)
     return float(2 * MU0 * design.L * (design.lam / 2) * ((nk * A1) ** 2).sum())
 
 

@@ -72,7 +72,7 @@ def test_criterion_02_closed_vs_dense(capsys):
         src = fourier_coefficients(design, HarmonicTruncation())
         dense = solve_coefficients(design, src)
         closed = closed_form_coefficients(design, src)
-        for name in ("A1", "B1", "A2", "B2", "B3"):
+        for name in ("x1", "x2", "x3", "x4", "x5"):
             a, b = getattr(dense, name), getattr(closed, name)
             if a is None:
                 continue

@@ -1,15 +1,16 @@
 """End-to-end CLI runs: file outputs, manifest contents, exit codes."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from halmotor import cli, laplace, quantities
+from halmotor import cli, laplace, quantities, verify
 from halmotor.config import load_design
 from halmotor.halbach import fourier_coefficients
 
-from conftest import CONFIG_TEXT
+from conftest import CONFIG_TEXT, make_case
 
 from test_quantities import MEAN_FORCE_OPEN, NET_PULL
 
@@ -181,6 +182,29 @@ def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
     assert "FAIL boundary-rows" in captured
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_verify_catches_doubled_fundamental(back_iron, trunc):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    good = laplace.solve_coefficients(design, src)
+    x1 = good.x1.copy()
+    x1[0] *= 2
+    bad = dataclasses.replace(good, x1=x1)
+    assert verify.check_closed_vs_dense(design, src, good).passed
+    assert not verify.check_closed_vs_dense(design, src, bad).passed
+    maps, _ = verify.check_tri_model(design, src, bad, n_points=20)
+    assert not maps.passed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_max", [399, 3001])
+def test_verify_passes_at_high_nmax(config_path, tmp_path, capsys, n_max):
+    rc = cli.main(["verify", "--config", str(config_path), "--out",
+                   str(tmp_path), "--skip-fd", "--nmax", str(n_max)])
+    assert rc == 0
+    assert "48/48 checks passed" in capsys.readouterr().out
+
+
 def test_sweep_outputs(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),
@@ -268,3 +292,19 @@ def test_malformed_axis_spec_is_usage_error(config_path, tmp_path):
         cli.main(["sweep", "--config", str(config_path),
                   "--out", str(tmp_path), "--axis", "h_c=1:2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["emf", "--nt", "1"],
+    ["force", "--nt", "0"],
+    ["force", "--nt", "1"],
+    ["force", "--nscan", "0"],
+    ["optimize", "--bounds", "h_c=0.001:0.012", "--coarse", "0"],
+    ["optimize", "--bounds", "h_c=0.001:0.012", "--coarse", "1"],
+], ids=["emf-nt-1", "force-nt-0", "force-nt-1", "force-nscan-0",
+        "optimize-coarse-0", "optimize-coarse-1"])
+def test_bad_count_is_usage_error(config_path, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(config_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

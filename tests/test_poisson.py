@@ -19,11 +19,9 @@ from halmotor.poisson import (
 from conftest import ALL_CASES, make_case
 
 
-# Raw layer coefficients span hundreds of orders of magnitude (each column
-# carries an exponential gauge factor), so map comparisons normalize by the
-# largest stack entry: entries near the solve's noise floor contribute
-# nothing to any field and two equivalent formulations may round them
-# differently.
+# Map comparisons normalize by the largest stack entry: entries near the
+# solve's noise floor contribute nothing to any field and two equivalent
+# formulations may round them differently.
 
 
 @pytest.mark.parametrize("n_m, back_iron", ALL_CASES)
@@ -142,8 +140,8 @@ def test_curl_identity_richardson(table1, source):
 
 def test_vector_map_scaling(coeffs):
     mapped = vector_from_hybrid(coeffs)
-    # the A1 column flips sign and gains a mu0; B3 keeps its sign
+    # the x1 (A1) column flips sign and gains a mu0; x5 (B3) keeps its sign
     from halmotor.config import MU0
-    np.testing.assert_allclose(mapped.A1, -MU0 * coeffs.A1, rtol=1e-15)
-    np.testing.assert_allclose(mapped.B1, MU0 * coeffs.B1, rtol=1e-15)
-    np.testing.assert_allclose(mapped.B3, MU0 * coeffs.B3, rtol=1e-15)
+    np.testing.assert_allclose(mapped.x1, -MU0 * coeffs.x1, rtol=1e-15)
+    np.testing.assert_allclose(mapped.x2, MU0 * coeffs.x2, rtol=1e-15)
+    np.testing.assert_allclose(mapped.x5, MU0 * coeffs.x5, rtol=1e-15)
