@@ -11,7 +11,6 @@ from .config import (
     MU0,
     HarmonicTruncation,
     MotorDesign,
-    OperatingPoint,
     load_design,
 )
 from .errors import HalmotorError
@@ -52,7 +51,6 @@ __all__ = [
     "MU0",
     "HarmonicTruncation",
     "MotorDesign",
-    "OperatingPoint",
     "load_design",
     "HalmotorError",
     "HarmonicSource",

@@ -239,7 +239,7 @@ def cmd_emf(args: argparse.Namespace) -> int:
     design, trunc = _load(args)
     run = Run(args, "emf")
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
-    ts = np.arange(args.nt) / (args.nt * design.f)
+    ts = quantities.period_grid(design, args.nt)
     emf = quantities.back_emf(design, coeffs, ts, args.x0)
     thd = quantities.emf_thd(design, coeffs, args.x0, args.nt)
     phases = range(1, design.N_ph + 1)
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis bounds, one of lam/h_m/h_c (repeatable)")
     p.add_argument("--coarse", type=_count_at_least(2), default=9,
                    help="coarse grid points per axis (default 9)")
-    p.add_argument("--passes", type=int, default=2,
+    p.add_argument("--passes", type=_count_at_least(0), default=2,
                    help="refinement passes (default 2)")
     _add_stage_objective(p)
 

@@ -1,4 +1,4 @@
-"""Machine description, operating point, and config file parsing.
+"""Machine description and config file parsing.
 
 Geometry convention: x runs along the direction of travel, y across the
 airgap.  y = 0 is one stator face, the coil band occupies [0, h_c], the
@@ -71,12 +71,16 @@ class MotorDesign:
             raise UnsupportedPhaseCount(self.N_ph)
         if not (0 <= self.g_0 < self.g):
             raise OffsetExceedsGap(self.g_0, self.g)
-        for name in ("B_r", "J_max", "f"):
+        for name in ("J_max", "f"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
-        if self.B_r == 0:
-            raise ValueError("remanence must be positive")
+        for name in ("B_r", "sigma_cu", "rho_pm", "rho_cu"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if not isinstance(self.N_turns, int) or self.N_turns < 1:
+            raise ValueError(f"N_turns must be an integer >= 1, got {self.N_turns!r}")
 
     # derived, read-only
     @property
@@ -125,18 +129,6 @@ class MotorDesign:
 
     def with_gap(self, g: float) -> "MotorDesign":
         return replace(self, g=g, g_0=0.0)
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Alignment and speed at which time series are evaluated."""
-
-    t: float = 0.0
-    x_0: float = 0.0           # mover position offset at t = 0
-    u_override: float | None = None
-
-    def speed(self, design: MotorDesign) -> float:
-        return design.u if self.u_override is None else self.u_override
 
 
 @dataclass(frozen=True)

@@ -74,23 +74,24 @@ class FieldCoefficients:
         return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSample:
-    """Field quantities at one point.
+    """Field quantities at one point, or at a column of points in one region.
 
     psi is the scalar potential (A), A_z the vector potential (Wb/m); each
-    is None for models that do not define it.
+    is None for models that do not define it.  For a column of points, x
+    and y are as passed and every field is a 1-D array, one entry per row.
     """
 
-    x: float
-    y: float
+    x: float | np.ndarray
+    y: float | np.ndarray
     region: str
-    B_x: float
-    B_y: float
-    H_x: float
-    H_y: float
-    psi: float | None
-    A_z: float | None
+    B_x: float | np.ndarray
+    B_y: float | np.ndarray
+    H_x: float | np.ndarray
+    H_y: float | np.ndarray
+    psi: float | np.ndarray | None
+    A_z: float | np.ndarray | None
 
 
 def assemble_system(design: MotorDesign, source: HarmonicSource,
@@ -244,13 +245,13 @@ def classify_region(design: MotorDesign, y: float) -> str:
     return "III"
 
 
-def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, x: float,
-                  y: float, region: str | None):
-    """One region's expansion at (x, y), shared by every point evaluator.
+def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, y,
+                  region: str | None):
+    """The only code that turns the stored unknowns into region terms.
 
-    Returns (region, nk, sin nkx, cos nkx, P, Q) with P = A e^{nky} the
-    growing and Q = B e^{-nky} the decaying term of each harmonic, both
-    formed from the stored unknowns through non-positive exponents.
+    Returns (region, nk, P, Q): P = A e^{nky} and Q = B e^{-nky} per harmonic
+    (last axis), formed through non-positive exponents.  y is a scalar or
+    a column array of points in one region, which an array must name.
     """
     if region is None:
         region = classify_region(design, y)
@@ -265,13 +266,31 @@ def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, x: float,
     else:
         P = 0.0
         Q = coeffs.x5 * np.exp(nk * (top - y))
-    return region, nk, np.sin(nk * x), np.cos(nk * x), P, Q
+    return region, nk, P, Q
+
+
+def _hybrid_fields(design: MotorDesign, source: HarmonicSource,
+                   coeffs: FieldCoefficients, x, y, region: str | None):
+    """(region, nk, sin nkx, psi, B_x, B_y, H_x, H_y) of the hybrid model, also
+    the scalar-Poisson model's B and H, since it shares the coefficients."""
+    region, nk, P, Q = _region_terms(design, coeffs, y, region)
+    phase = nk * x
+    s, c = np.sin(phase), np.cos(phase)
+    total = P + Q
+    psi = (total * s).sum(axis=-1)
+    hx = (-nk * total * c).sum(axis=-1)
+    hy = (-nk * (P - Q) * s).sum(axis=-1)
+    if region == "II":
+        Mx = (source.M_xn * c).sum(axis=-1)
+        My = (source.M_yn * s).sum(axis=-1)
+        return region, nk, s, psi, MU0 * hx, MU0 * (hy + My), hx - Mx, hy
+    return region, nk, s, psi, MU0 * hx, MU0 * hy, hx, hy
 
 
 def evaluate_fields(design: MotorDesign, source: HarmonicSource,
-                    coeffs: FieldCoefficients, x: float, y: float,
+                    coeffs: FieldCoefficients, x, y,
                     region: str | None = None) -> FieldSample:
-    """Physical B, H, and psi at one point.
+    """Physical B, H, and psi at one point, or along columns in one region.
 
     In region II the potential belongs to the sheet-source model: B_x and
     H_y follow from it directly, while H_x and B_y are completed with the
@@ -279,33 +298,23 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
     (H_x and B_y both continuous across the array faces).
 
     `region` forces a specific region's expansion, which is how the two
-    one-sided limits at an interface are obtained.
+    one-sided limits at an interface are obtained.  x may also be an (m, 1)
+    column and y a scalar or such a column, all in one named region; the
+    sample's fields are then 1-D arrays.
     """
-    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
-    psi = float(((P + Q) * s).sum())
-    hx = float((-nk * (P + Q) * c).sum())
-    hy = float((-nk * (P - Q) * s).sum())
-    if region == "II":
-        Mx = float((source.M_xn * c).sum())
-        My = float((source.M_yn * s).sum())
-        return FieldSample(x, y, region,
-                           MU0 * hx, MU0 * (hy + My), hx - Mx, hy, psi, None)
-    return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
+    region, _, _, psi, bx, by, hx, hy = _hybrid_fields(design, source, coeffs,
+                                                       x, y, region)
+    return FieldSample(x, y, region, bx, by, hx, hy, psi, None)
 
 
 def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
                x: np.ndarray, y: float, shift: float = 0.0) -> np.ndarray:
-    """Vectorized B_y in region I at height y with the mover shifted.
-
-    Uses B1 = -A1: B_y = -2 mu0 sum nk A1 cosh(nk y) sin(nk (x - shift)),
-    with A1 cosh(nk y) = x1 (e^{nk(y - g_e)} + e^{-nk(y + g_e)}) / 2.
-    """
+    """Vectorized B_y in region I at height y with the mover shifted."""
     if not 0 <= y <= design.g_e:
         raise OutOfDomain("y", y, "region I spans 0 <= y <= g_e")
-    nk = coeffs.n * design.k
-    amp = -MU0 * nk * coeffs.x1 * (np.exp(nk * (y - design.g_e))
-                                   + np.exp(-nk * (y + design.g_e)))
-    return np.sin(np.outer(np.asarray(x, dtype=float) - shift, nk)) @ amp
+    _, nk, P, Q = _region_terms(design, coeffs, y, "I")
+    return np.sin(np.outer(np.asarray(x, dtype=float) - shift, nk)) @ (
+        -MU0 * nk * (P - Q))
 
 
 def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoefficients,

@@ -12,12 +12,12 @@ Two more routes to the same physical field:
 Both reduce to small per-harmonic systems like the hybrid model, and both
 store the same equilibrated unknowns (see `halmotor.laplace`).  The
 scalar-Poisson system shares its matrix and right-hand side with the
-hybrid one, so its coefficients are derived rather than solved again; it
-keeps its own region-II field bookkeeping.  The vector route has its own
-system, whose solution maps onto the hybrid coefficients as
-(x1', x2', x3', x4', x5') = mu0 (-x1, x2, -x3, x4, x5).  It stays an
-independent solve: agreement of the evaluated fields is one of the
-package's standing self-checks.
+hybrid one, so its coefficients are derived rather than solved again,
+and its B and H are the hybrid ones; only its potential differs.  The
+vector route has its own system, whose solution maps onto the hybrid
+coefficients as (x1', x2', x3', x4', x5') = mu0 (-x1, x2, -x3, x4, x5).
+It stays an independent solve: agreement of the evaluated fields is one
+of the package's standing self-checks.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .laplace import (
     FieldCoefficients,
     FieldSample,
     _batch_solve,
+    _hybrid_fields,
     _pack,
     _region_terms,
     _solve_hybrid,
@@ -114,39 +115,39 @@ def vector_from_hybrid(coeffs: FieldCoefficients) -> FieldCoefficients:
 
 
 def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
-                           coeffs: FieldCoefficients, x: float, y: float,
+                           coeffs: FieldCoefficients, x, y,
                            region: str | None = None) -> FieldSample:
     """Physical fields from the scalar-Poisson potential.
 
-    Here psi already contains the particular magnetization term in region
-    II, so H_x is a plain gradient there; B adds the truncated M back.
+    The coefficients are the hybrid solution, so B and H are the hybrid
+    ones; psi adds the particular term sum (M_xn / nk) sin nkx in region
+    II.  x and y may be column arrays, as for `laplace.evaluate_fields`.
     """
-    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
-    psi = float(((P + Q) * s).sum())
-    hx = float((-nk * (P + Q) * c).sum())
-    hy = float((-nk * (P - Q) * s).sum())
+    region, nk, s, psi, bx, by, hx, hy = _hybrid_fields(design, source, coeffs,
+                                                        x, y, region)
     if region == "II":
-        Mx_t = float((source.M_xn * c).sum())
-        My_t = float((source.M_yn * s).sum())
-        psi += float(((source.M_xn / nk) * s).sum())
-        hx -= Mx_t
-        return FieldSample(x, y, region,
-                           MU0 * (hx + Mx_t), MU0 * (hy + My_t), hx, hy, psi, None)
-    return FieldSample(x, y, region, MU0 * hx, MU0 * hy, hx, hy, psi, None)
+        psi += ((source.M_xn / nk) * s).sum(axis=-1)
+    return FieldSample(x, y, region, bx, by, hx, hy, psi, None)
 
 
 def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
-                           coeffs: FieldCoefficients, x: float, y: float,
+                           coeffs: FieldCoefficients, x, y,
                            region: str | None = None) -> FieldSample:
-    """Physical fields from the vector potential (B first, then H = B/mu0 - M)."""
-    region, nk, s, c, P, Q = _region_terms(design, coeffs, x, y, region)
-    Az = float(((P + Q) * c).sum())
-    Bx = float((nk * (P - Q) * c).sum())
-    By = float((nk * (P + Q) * s).sum())
+    """Physical fields from the vector potential (B first, then H = B/mu0 - M).
+
+    x and y may be column arrays, as for `laplace.evaluate_fields`.
+    """
+    region, nk, P, Q = _region_terms(design, coeffs, y, region)
+    phase = nk * x
+    s, c = np.sin(phase), np.cos(phase)
+    total = P + Q
+    Az = (total * c).sum(axis=-1)
+    Bx = (nk * (P - Q) * c).sum(axis=-1)
+    By = (nk * total * s).sum(axis=-1)
     if region == "II":
-        Mx_t = float((source.M_xn * c).sum())
-        My_t = float((source.M_yn * s).sum())
-        Az += float(((MU0 * source.M_yn / nk) * c).sum())
+        Mx_t = (source.M_xn * c).sum(axis=-1)
+        My_t = (source.M_yn * s).sum(axis=-1)
+        Az += ((MU0 * source.M_yn / nk) * c).sum(axis=-1)
         By += MU0 * My_t
         return FieldSample(x, y, region, Bx, By,
                            Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)

@@ -15,7 +15,7 @@ import numpy as np
 from .config import MU0, HarmonicTruncation, MotorDesign, all_phase_currents
 from .errors import OffsetExceedsGap, ZeroVelocity
 from .halbach import fourier_coefficients
-from .laplace import FieldCoefficients, solve_coefficients
+from .laplace import FieldCoefficients, _region_terms, solve_coefficients
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,16 @@ class PowerBalance:
 
 
 def _amplitudes(design: MotorDesign, coeffs: FieldCoefficients):
-    """Orders, wavenumbers, A1 and A1 sinh(nk h_c) from the stored x1.
+    """Orders, wavenumbers and A1 sinh(nk h_c) from the stored x1.
 
-    A1 = x1 e^{-nk g_e}; the sinh product is formed as
+    With A1 = x1 e^{-nk g_e} the product is formed as
     x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2 so it cannot overflow.
     """
     ns = coeffs.n.astype(float)
     nk = ns * design.k
-    x1 = coeffs.x1
-    A1 = x1 * np.exp(-nk * design.g_e)
-    A1_sinh = 0.5 * x1 * (np.exp(nk * (design.h_c - design.g_e))
-                          - np.exp(-nk * (design.h_c + design.g_e)))
-    return ns, nk, A1, A1_sinh
+    A1_sinh = 0.5 * coeffs.x1 * (np.exp(nk * (design.h_c - design.g_e))
+                                 - np.exp(-nk * (design.h_c + design.g_e)))
+    return ns, nk, A1_sinh
 
 
 def _edge_phases(design: MotorDesign, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +102,13 @@ def _window_sums(design: MotorDesign, ns: np.ndarray, nk: np.ndarray,
     return dc @ cm + ds @ sm, ds @ cm - dc @ sm
 
 
+def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
+    """nt uniform sample times over one electrical period."""
+    if design.f == 0:
+        raise ZeroVelocity("a period time series needs a moving array (f > 0)")
+    return np.arange(nt) / (nt * design.f)
+
+
 def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
            x_0: float = 0.0) -> ForceResult:
     """Per-phase thrust on the array from the closed-form slot integrals.
@@ -112,7 +117,7 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
     force over the grid relative to its mean.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
+    ns, nk, A1_sinh = _amplitudes(design, coeffs)
     amp = -8 * MU0 * design.L / nk * A1_sinh
     window, _ = _window_sums(design, ns, nk, amp, design.u * ts + x_0)
     per_phase = all_phase_currents(design, ts) * window
@@ -125,8 +130,7 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
 def thrust_time_series(design: MotorDesign, coeffs: FieldCoefficients,
                        x_0: float = 0.0, nt: int = 720) -> ForceResult:
     """Thrust over one electrical period on a uniform nt-point grid."""
-    ts = np.arange(nt) / (nt * design.f)
-    return thrust(design, coeffs, ts, x_0)
+    return thrust(design, coeffs, period_grid(design, nt), x_0)
 
 
 def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
@@ -138,7 +142,6 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
     evaluate B_y on an nx-by-ny grid, and integrate.  The factor 2 counts
     both airgaps.
     """
-    nk = coeffs.n * design.k
     xs = (np.arange(nx) + 0.5) * design.lam / nx
     ys = (np.arange(ny) + 0.5) * design.h_c / ny
     Jm = all_phase_currents(design, float(t))[:, 0]
@@ -149,10 +152,8 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
         Jx += Jm[m - 1] * (((xs - xl) % design.lam) < ws)
         Jx -= Jm[m - 1] * (((xs - xl - design.lam / 2) % design.lam) < ws)
     shift = design.u * float(t) + x_0
-    # -2 mu0 nk A1 cosh(nk y), through the overflow-free form of airgap_B_y
-    amp = -MU0 * nk * coeffs.x1 * (np.exp(np.outer(ys - design.g_e, nk))
-                                   + np.exp(-np.outer(ys + design.g_e, nk)))
-    By = (amp @ np.sin(np.outer(nk, xs - shift))).T
+    _, nk, P, Q = _region_terms(design, coeffs, ys[:, None], "I")
+    By = np.sin(np.outer(xs - shift, nk)) @ (-MU0 * nk * (P - Q)).T
     integral = float((Jx[:, None] * By).sum()) * (design.lam / nx) * (design.h_c / ny)
     return 2 * design.L * integral
 
@@ -161,7 +162,7 @@ def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
                       n_scan: int = 360, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t versus array shift x_0 over one wavelength."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
+    ns, nk, A1_sinh = _amplitudes(design, coeffs)
     amp = -8 * MU0 * design.L / nk * A1_sinh
     window, _ = _window_sums(design, ns, nk, amp, design.u * t + x0s)
     totals = (all_phase_currents(design, float(t)) * window).sum(axis=0)
@@ -185,7 +186,7 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
     harmonic.  EMF is its exact time derivative.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, _, A1_sinh = _amplitudes(design, coeffs)
+    ns, nk, A1_sinh = _amplitudes(design, coeffs)
     ws = design.slot_width
     amp_lam = (-8 * MU0 * design.L * design.N_turns * A1_sinh
                / (nk ** 2 * design.h_c * ws))
@@ -201,9 +202,7 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
 def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
                   x_0: float = 0.0, nt: int = 720) -> PowerBalance:
     """Check sum(E_m I_m) = u F_t over one electrical period."""
-    if design.u == 0:
-        raise ZeroVelocity("power balance needs a moving array (f > 0)")
-    ts = np.arange(nt) / (nt * design.f)
+    ts = period_grid(design, nt)
     e = back_emf(design, coeffs, ts, x_0)
     electrical = (e.emf * e.current).sum(axis=0)
     mechanical = design.u * thrust(design, coeffs, ts, x_0).total
@@ -215,7 +214,7 @@ def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
 def emf_thd(design: MotorDesign, coeffs: FieldCoefficients, x_0: float = 0.0,
             nt: int = 720) -> np.ndarray:
     """Per-phase EMF total harmonic distortion over one period."""
-    e = back_emf(design, coeffs, np.arange(nt) / (nt * design.f), x_0)
+    e = back_emf(design, coeffs, period_grid(design, nt), x_0)
     spectrum = np.fft.rfft(e.emf, axis=1) / nt
     fund = np.abs(spectrum[:, 1])
     rest = np.sqrt((np.abs(spectrum[:, 2:]) ** 2).sum(axis=1))
@@ -228,7 +227,7 @@ def attraction_force(design: MotorDesign, coeffs: FieldCoefficients) -> float:
     B_y(x, 0) = -2 mu0 sum nk A1 sin nkx and the x-average of sin^2 gives
     F_y = 2 mu0 L (lambda/2) sum (nk A1)^2 per wavelength per side.
     """
-    _, nk, A1, _ = _amplitudes(design, coeffs)
+    _, nk, A1, _ = _region_terms(design, coeffs, 0.0, "I")  # P = A1 at y = 0
     return float(2 * MU0 * design.L * (design.lam / 2) * ((nk * A1) ** 2).sum())
 
 

@@ -249,6 +249,9 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
     and within bounds; the trace carries one row per evaluation with its
     pass index.  Incumbent scores never decrease.
     """
+    if coarse < 2 or passes < 0:
+        raise ValueError("optimize needs coarse >= 2 and passes >= 0, "
+                         f"got {coarse} and {passes}")
     if not bounds:
         raise EmptyBounds("optimize needs at least one bounded axis")
     keys = [k for k in _AXES if k in bounds]
@@ -263,7 +266,7 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
             raise EmptyBounds(f"bounds for {k!r} are empty or non-positive")
         lo[k], hi[k] = float(a), float(b)
 
-    step0 = {k: (hi[k] - lo[k]) / (coarse - 1) if coarse > 1 else 0.0 for k in keys}
+    step0 = {k: (hi[k] - lo[k]) / (coarse - 1) for k in keys}
     axes = {k: lo[k] + step0[k] * np.arange(coarse) if step0[k] > 0
             else np.array([lo[k]]) for k in keys}
     points = _factorial_points(axes)

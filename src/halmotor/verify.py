@@ -82,19 +82,23 @@ def check_tri_model(design: MotorDesign, src, coeffs,
     rng = np.random.default_rng(seed)
     y_top = design.g_e + design.h_m
     y_max = y_top if design.back_iron else 1.8 * y_top
+    # row-major (x, y) pairs: the same draws as one x, then one y, per point
+    pts = rng.uniform((0.0, 1e-6), (design.lam, y_max - 1e-9), (n_points, 2))
+    regions = np.array([laplace.classify_region(design, y) for y in pts[:, 1]])
     worst = 0.0
-    for _ in range(n_points):
-        x = float(rng.uniform(0, design.lam))
-        y = float(rng.uniform(1e-6, y_max - 1e-9))
-        f1 = laplace.evaluate_fields(design, src, coeffs, x, y)
-        f2 = evaluate_fields_scalar(design, src, c2, x, y)
-        f3 = evaluate_fields_vector(design, src, c3, x, y)
-        b_scale = max(abs(f1.B_x), abs(f1.B_y), 1e-3)
+    for region in set(regions.tolist()):
+        sel = pts[regions == region]
+        x, y = sel[:, :1], sel[:, 1:]
+        f1 = laplace.evaluate_fields(design, src, coeffs, x, y, region)
+        f2 = evaluate_fields_scalar(design, src, c2, x, y, region)
+        f3 = evaluate_fields_vector(design, src, c3, x, y, region)
+        b_scale = np.maximum(np.maximum(np.abs(f1.B_x), np.abs(f1.B_y)), 1e-3)
         h_scale = b_scale / MU0
         for f in (f2, f3):
-            worst = max(worst,
-                        abs(f.B_x - f1.B_x) / b_scale, abs(f.B_y - f1.B_y) / b_scale,
-                        abs(f.H_x - f1.H_x) / h_scale, abs(f.H_y - f1.H_y) / h_scale)
+            for comp, norm in (("B_x", b_scale), ("B_y", b_scale),
+                               ("H_x", h_scale), ("H_y", h_scale)):
+                dev = np.abs(getattr(f, comp) - getattr(f1, comp)) / norm
+                worst = max(worst, float(dev.max()))
     out.append(_result(f"tri-model fields {tag}", worst, TOL_FIELDS,
                        f"{n_points} points"))
     return out
@@ -137,38 +141,28 @@ def check_interface_jumps(design: MotorDesign, src, coeffs,
     """
     xs = np.arange(nx) * design.lam / nx
     km, sm = reconstruct_profiles(src, design.k, xs)
-    faces = [(design.g_e, "I", 1.0)]
+    xc = xs[:, None]
+    faces = [(design.g_e, "I")]
     if not design.back_iron:
-        faces.append((design.g_e + design.h_m, "III", 1.0))
+        faces.append((design.g_e + design.h_m, "III"))
     worst = 0.0
-    for y, outside, sgn in faces:
-        lo = [laplace.evaluate_fields(design, src, coeffs, float(x), y, region="II")
-              for x in xs]
-        hi = [laplace.evaluate_fields(design, src, coeffs, float(x), y, region=outside)
-              for x in xs]
-        by2 = np.array([f.B_y for f in lo])
-        byo = np.array([f.B_y for f in hi])
-        hx2 = np.array([f.H_x for f in lo])
-        hxo = np.array([f.H_x for f in hi])
-        bx2 = np.array([f.B_x for f in lo])
-        bxo = np.array([f.B_x for f in hi])
-        hy2 = np.array([f.H_y for f in lo])
-        hyo = np.array([f.H_y for f in hi])
-        s_by = max(np.abs(by2).max(), np.abs(byo).max())
-        s_hx = max(np.abs(hx2).max(), np.abs(hxo).max(), design.M * 1e-3)
-        s_bx = max(np.abs(bx2).max(), np.abs(bxo).max(), MU0 * design.M * 1e-3)
-        s_hy = max(np.abs(hy2).max(), np.abs(hyo).max())
+    for y, outside in faces:
+        lo = laplace.evaluate_fields(design, src, coeffs, xc, y, region="II")
+        hi = laplace.evaluate_fields(design, src, coeffs, xc, y, region=outside)
+        s_by = max(np.abs(lo.B_y).max(), np.abs(hi.B_y).max())
+        s_hx = max(np.abs(lo.H_x).max(), np.abs(hi.H_x).max(), design.M * 1e-3)
+        s_bx = max(np.abs(lo.B_x).max(), np.abs(hi.B_x).max(), MU0 * design.M * 1e-3)
+        s_hy = max(np.abs(lo.H_y).max(), np.abs(hi.H_y).max())
         worst = max(
             worst,
-            float(np.abs(byo - by2).max()) / s_by,
-            float(np.abs(hxo - hx2).max()) / s_hx,
-            float(np.abs((bxo - bx2) * sgn - MU0 * km).max()) / s_bx,
-            float(np.abs((hy2 - hyo) * sgn - sm / MU0).max()) / s_hy,
+            float(np.abs(hi.B_y - lo.B_y).max()) / s_by,
+            float(np.abs(hi.H_x - lo.H_x).max()) / s_hx,
+            float(np.abs(hi.B_x - lo.B_x - MU0 * km).max()) / s_bx,
+            float(np.abs(lo.H_y - hi.H_y - sm / MU0).max()) / s_hy,
         )
     if design.back_iron:
         y = design.g_e + design.h_m
-        hx = np.array([laplace.evaluate_fields(design, src, coeffs, float(x), y,
-                                               region="II").H_x for x in xs])
+        hx = laplace.evaluate_fields(design, src, coeffs, xc, y, region="II").H_x
         worst = max(worst, float(np.abs(hx).max()) / design.M)
     return _result(f"interface-jumps {_case_tag(design)}", worst, TOL_JUMPS,
                    f"{nx}-point line")

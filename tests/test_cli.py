@@ -2,11 +2,14 @@
 import csv
 import dataclasses
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halmotor import cli, laplace, quantities, verify
+import halmotor
+from halmotor import cli, laplace, poisson, quantities, verify
 from halmotor.config import load_design
 from halmotor.halbach import fourier_coefficients
 
@@ -196,6 +199,46 @@ def test_verify_catches_doubled_fundamental(back_iron, trunc):
     assert not maps.passed
 
 
+def _plant_in_kernel(monkeypatch, fault):
+    """Route every field evaluation through a faulty region kernel."""
+    original = laplace._region_terms
+
+    def faulty(design, coeffs, y, region):
+        return fault(design, coeffs, y, *original(design, coeffs, y, region))
+
+    monkeypatch.setattr(laplace, "_region_terms", faulty)
+    monkeypatch.setattr(poisson, "_region_terms", faulty)
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_interface_jumps_catch_flipped_region_two_term(monkeypatch, trunc,
+                                                       back_iron):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = laplace.solve_coefficients(design, src)
+    assert verify.check_interface_jumps(design, src, coeffs).passed
+
+    def flip_x4(design, coeffs, y, region, nk, P, Q):
+        return region, nk, P, -Q if region == "II" else Q
+
+    _plant_in_kernel(monkeypatch, flip_x4)
+    assert not verify.check_interface_jumps(design, src, coeffs).passed
+
+
+def test_fd_midgap_catches_wrong_region_one_exponent(monkeypatch, trunc):
+    design = make_case(2, False)
+    coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
+    assert verify.check_fd_midgap(design, coeffs).passed
+
+    def mirrored_exponent(design, coeffs, y, region, nk, P, Q):
+        if region == "I":
+            P = coeffs.x1 * np.exp(nk * (design.g_e - y))
+        return region, nk, P, Q
+
+    _plant_in_kernel(monkeypatch, mirrored_exponent)
+    assert not verify.check_fd_midgap(design, coeffs).passed
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n_max", [399, 3001])
 def test_verify_passes_at_high_nmax(config_path, tmp_path, capsys, n_max):
@@ -273,6 +316,34 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, key, value", [
+    ("force", "frequency_Hz", "0.0"),
+    ("emf", "frequency_Hz", "0.0"),
+    ("sweep", "sigma_cu_S_m", "0"),
+    ("sweep", "rho_pm_kg_m3", "-5"),
+    ("emf", "turns_per_coil", "0"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    lines = [ln for ln in CONFIG_TEXT.splitlines() if not ln.startswith(key)]
+    cfg.write_text("\n".join(lines + [f"{key} = {value}", ""]))
+    extra = ["--axis", "h_c=0.003:0.005:2"] if command == "sweep" else []
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path),
+                   *extra])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_version_has_one_source():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is beta in old setuptools
+        conf = pyprojecttoml.read_configuration(root / "pyproject.toml")
+    assert conf["project"]["version"] == halmotor.__version__
+
+
 def test_bad_sweep_axis_exits_2(config_path, tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(config_path),
                    "--out", str(tmp_path), "--axis", "g=0.001:0.002:2"])
@@ -301,8 +372,9 @@ def test_malformed_axis_spec_is_usage_error(config_path, tmp_path):
     ["force", "--nscan", "0"],
     ["optimize", "--bounds", "h_c=0.001:0.012", "--coarse", "0"],
     ["optimize", "--bounds", "h_c=0.001:0.012", "--coarse", "1"],
+    ["optimize", "--bounds", "h_c=0.001:0.012", "--passes", "-3"],
 ], ids=["emf-nt-1", "force-nt-0", "force-nt-1", "force-nscan-0",
-        "optimize-coarse-0", "optimize-coarse-1"])
+        "optimize-coarse-0", "optimize-coarse-1", "optimize-passes-neg"])
 def test_bad_count_is_usage_error(config_path, tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--config", str(config_path), "--out", str(tmp_path)])

@@ -90,6 +90,10 @@ def test_load_design_optional_keys(tmp_path):
     ("bogus_key = 1\n", UnknownKey),
     ("lambda_m = 0.05\n", ValueError),          # duplicate
     ("no equals sign here\n", ValueError),
+    ("sigma_cu_S_m = 0\n", ValueError),
+    ("rho_pm_kg_m3 = -5\n", ValueError),
+    ("rho_cu_kg_m3 = nan\n", ValueError),
+    ("turns_per_coil = 0\n", ValueError),
 ])
 def test_load_design_rejects_bad_lines(tmp_path, extra, exc):
     path = tmp_path / "d.cfg"

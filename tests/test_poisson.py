@@ -69,6 +69,40 @@ def test_tri_model_fields_agree(n_m, back_iron, trunc):
             assert np.abs(vals - vals[0]).max() < 1e-10 * scale, comp
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_array_evaluation_matches_points(back_iron, trunc):
+    design = make_case(3, back_iron)
+    src = fourier_coefficients(design, trunc)
+    routes = [
+        (solve_coefficients(design, src), evaluate_fields),
+        (solve_scalar(design, src), evaluate_fields_scalar),
+        (solve_vector(design, src), evaluate_fields_vector),
+    ]
+    top = design.g_e + design.h_m
+    heights = {"I": [0.0, 0.4 * design.g_e, design.g_e],
+               "II": [design.g_e, design.g_e + 0.3 * design.h_m, top]}
+    if not back_iron:
+        heights["III"] = [top, 1.2 * top, 2.0 * top]
+    rng = np.random.default_rng(3)
+    for region, ys in heights.items():
+        xs = rng.uniform(0, design.lam, (len(ys), 1))
+        # a column of heights, and one face height along a column of x
+        for y in (np.array(ys)[:, None], ys[-1]):
+            ys_col = np.broadcast_to(y, xs.shape)
+            points = list(zip(xs[:, 0].tolist(), ys_col[:, 0].tolist()))
+            for coeffs, ev in routes:
+                col = ev(design, src, coeffs, xs, y, region)
+                assert col.region == region
+                for i, (x, yi) in enumerate(points):
+                    pt = ev(design, src, coeffs, x, yi, region)
+                    for comp in ("B_x", "B_y", "H_x", "H_y", "psi", "A_z"):
+                        want = getattr(pt, comp)
+                        if want is None:
+                            assert getattr(col, comp) is None
+                        else:
+                            assert getattr(col, comp)[i] == want, comp
+
+
 def test_potentials_populated_per_model(table1, source):
     hybrid = solve_coefficients(table1, source)
     scalar = solve_scalar(table1, source)

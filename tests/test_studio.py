@@ -195,6 +195,10 @@ def test_optimize_input_validation(table1, stage, obj):
         optimize(table1, stage, obj, {"h_c": (0.0, 4e-3)})
     with pytest.raises(ValueError, match="unknown bound axes"):
         optimize(table1, stage, obj, {"g": (1e-4, 1e-3)})
+    with pytest.raises(ValueError, match="coarse >= 2"):
+        optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, coarse=1)
+    with pytest.raises(ValueError, match="passes >= 0"):
+        optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, passes=-1)
 
 
 def test_stage_spec_validation(table1):
