@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand loads a ``key = value`` config file, writes CSV files plus a
-``manifest.json`` into the output directory, and prints a short summary.  CSV
-is the only output format: one header line, fixed column order, floats at full
-precision ("%.17g"); plotting is left to external tools.
+Every subcommand loads a ``key = value`` config file and computes its
+outputs; only then are its CSV files plus a ``manifest.json`` written into the
+output directory and a short summary printed, so a command stopped by an error
+writes nothing (a ``verify`` run with failing checks still writes its report).
+CSV is the only output format: one header line, fixed column order, floats at
+full precision ("%.17g"); plotting is left to external tools.
 
 Subcommands: fields, force, emf, normal, sweep, optimize, sizing, verify.
 
@@ -13,9 +15,11 @@ Defaults (used when a flag is not given):
     --nmax          config value   all (config default 199)
     --model         laplace        fields
     --grid          256x128        fields: one wavelength by the full stack
+                                   (at most 2**20 points)
     --ymax          g_e + h_m      fields: top of the mapped band
     --x0            force-angle optimum (force); 0.0 (emf)
     --nt            720            force, emf: samples per electrical period
+                                   (the EMF THD is exact and does not use it)
     --nscan         360            force: force-angle sweep points
     --g0            config value   normal (gap_offset_m, default 0)
     normal offsets  13 rows from 0 to g0 (a single row when g0 = 0)
@@ -39,6 +43,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +57,17 @@ _MODELS = {
     poisson.MODEL_SCALAR: (poisson.solve_scalar, poisson.evaluate_fields_scalar),
     poisson.MODEL_VECTOR: (poisson.solve_vector, poisson.evaluate_fields_vector),
 }
+_MAX_GRID_POINTS = 1 << 20
+
+
+class Outcome(NamedTuple):
+    """What a command produced.  `files` maps each output name, in write
+    order, to a (header, rows) pair for a ``.csv`` name or to the payload of
+    a ``.json`` name; `summary` is printed to stdout."""
+
+    files: dict
+    summary: str
+    code: int = 0
 
 
 def _fmt(value) -> str:
@@ -90,44 +106,6 @@ def _jsonable(value):
     return value
 
 
-class Run:
-    """Output directory plus the manifest that records what a run produced."""
-
-    def __init__(self, args: argparse.Namespace, command: str):
-        self.out = args.out
-        os.makedirs(self.out, exist_ok=True)
-        self.command = command
-        self.config = os.path.abspath(args.config)
-        self.outputs: list[str] = []
-        self.started = time.perf_counter()
-        skip = {"func", "config", "out"}
-        self.params = {k: _jsonable(v) for k, v in vars(args).items()
-                       if k not in skip}
-
-    def path(self, name: str) -> str:
-        self.outputs.append(name)
-        return os.path.join(self.out, name)
-
-    def finish(self, design: MotorDesign, trunc: HarmonicTruncation) -> None:
-        self.params["design"] = dataclasses.asdict(design)
-        self.params["n_max_harmonic"] = trunc.n_max
-        _write_json(os.path.join(self.out, "manifest.json"), {
-            "command": self.command,
-            "config": self.config,
-            "params": self.params,
-            "outputs": self.outputs,
-            "version": __version__,
-            "duration_s": time.perf_counter() - self.started,
-        })
-
-
-def _load(args: argparse.Namespace) -> tuple[MotorDesign, HarmonicTruncation]:
-    design, trunc = load_design(args.config)
-    if getattr(args, "nmax", None) is not None:
-        trunc = HarmonicTruncation(args.nmax)
-    return design, trunc
-
-
 def _count_at_least(low: int):
     """argparse type for an integer count of at least `low`."""
     def parse(text: str) -> int:
@@ -149,6 +127,9 @@ def _grid_spec(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected NXxNY, got {text!r}")
     if pair[0] < 2 or pair[1] < 2:
         raise argparse.ArgumentTypeError("grid must be at least 2x2")
+    if pair[0] * pair[1] > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid of {pair[0] * pair[1]} points exceeds {_MAX_GRID_POINTS}")
     return pair
 
 
@@ -192,9 +173,8 @@ def _objective(args: argparse.Namespace) -> studio.ObjectiveConfig:
                                   cost_drive=args.cost_drive)
 
 
-def cmd_fields(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "fields")
+def cmd_fields(args: argparse.Namespace, design: MotorDesign,
+               trunc: HarmonicTruncation) -> Outcome:
     solver, evaluator = _MODELS[args.model]
     src = fourier_coefficients(design, trunc)
     coeffs = solver(design, src)
@@ -203,45 +183,36 @@ def cmd_fields(args: argparse.Namespace) -> int:
     y_max = design.g_e + design.h_m if args.ymax is None else args.ymax
     ys = np.linspace(0.0, y_max, ny)
     samples = laplace.field_map(design, src, coeffs, xs, ys, evaluator)
-    _write_csv(run.path("fields.csv"),
-               ["x", "y", "region", "B_x", "B_y", "H_x", "H_y", "psi", "A_z"],
-               ([s.x, s.y, s.region, s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z]
-                for s in samples))
-    run.finish(design, trunc)
-    print(f"fields: {nx}x{ny} {args.model} map -> {run.out}/fields.csv")
-    return 0
+    table = (["x", "y", "region", "B_x", "B_y", "H_x", "H_y", "psi", "A_z"],
+             ([s.x, s.y, s.region, s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z]
+              for s in samples))
+    return Outcome({"fields.csv": table},
+                   f"fields: {nx}x{ny} {args.model} map -> {args.out}/fields.csv")
 
 
-def cmd_force(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "force")
+def cmd_force(args: argparse.Namespace, design: MotorDesign,
+              trunc: HarmonicTruncation) -> Outcome:
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
     x0s, totals = quantities.force_angle_sweep(design, coeffs, args.nscan)
-    _write_csv(run.path("force_angle.csv"), ["x_0", "f_total"],
-               zip(x0s, totals))
-    x_0 = args.x0
-    if x_0 is None:
-        x_0, _ = quantities.optimal_shift(design, coeffs, args.nscan)
+    x_0 = float(x0s[np.argmax(totals)]) if args.x0 is None else args.x0
     force = quantities.thrust_time_series(design, coeffs, x_0, args.nt)
     header = (["t"] + [f"f_phase_{m}" for m in range(1, design.N_ph + 1)]
               + ["f_total", "f_mean", "ripple_pct"])
     rows = ([force.t[i]] + list(force.per_phase[:, i])
             + [force.total[i], force.mean, force.ripple_pct]
             for i in range(len(force.t)))
-    _write_csv(run.path("force_profile.csv"), header, rows)
-    run.finish(design, trunc)
-    print(f"force: x_0 = {x_0:.6g} m, mean = {force.mean:.6f} N, "
-          f"ripple = {force.ripple_pct:.4f} %")
-    return 0
+    return Outcome({"force_angle.csv": (["x_0", "f_total"], zip(x0s, totals)),
+                    "force_profile.csv": (header, rows)},
+                   f"force: x_0 = {x_0:.6g} m, mean = {force.mean:.6f} N, "
+                   f"ripple = {force.ripple_pct:.4f} %")
 
 
-def cmd_emf(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "emf")
+def cmd_emf(args: argparse.Namespace, design: MotorDesign,
+            trunc: HarmonicTruncation) -> Outcome:
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
     ts = quantities.period_grid(design, args.nt)
     emf = quantities.back_emf(design, coeffs, ts, args.x0)
-    thd = quantities.emf_thd(design, coeffs, args.x0, args.nt)
+    thd = quantities.emf_thd(design, coeffs)
     phases = range(1, design.N_ph + 1)
     header = (["t"] + [f"lambda_{m}" for m in phases]
               + [f"emf_{m}" for m in phases] + [f"i_{m}" for m in phases]
@@ -249,98 +220,114 @@ def cmd_emf(args: argparse.Namespace) -> int:
     rows = ([ts[i]] + list(emf.flux_linkage[:, i]) + list(emf.emf[:, i])
             + list(emf.current[:, i]) + list(thd)
             for i in range(len(ts)))
-    _write_csv(run.path("emf.csv"), header, rows)
-    run.finish(design, trunc)
     peak = float(np.abs(emf.emf).max())
-    print(f"emf: peak = {peak:.4f} V, THD = {float(thd[0]):.6f}")
-    return 0
+    return Outcome({"emf.csv": (header, rows)},
+                   f"emf: peak = {peak:.4f} V, THD = {float(thd[0]):.6f}")
 
 
-def cmd_normal(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "normal")
+def cmd_normal(args: argparse.Namespace, design: MotorDesign,
+               trunc: HarmonicTruncation) -> Outcome:
     g0_max = design.g_0 if args.g0 is None else args.g0
     offsets = np.linspace(0.0, g0_max, 13) if g0_max > 0 else np.array([0.0])
     rows = []
     for g0 in offsets:
         r = quantities.misalignment_force(design, trunc, g_0=float(g0))
         rows.append([r.g_0, r.nominal, r.small_gap, r.large_gap, r.net])
-    _write_csv(run.path("normal.csv"),
-               ["g_0", "f_nominal", "f_small_gap", "f_large_gap", "f_net"],
-               rows)
-    run.finish(design, trunc)
-    print(f"normal: per-side pull {rows[0][1]:.4f} N, "
-          f"net at g_0 = {g0_max:.4g} m: {rows[-1][4]:.4f} N")
-    return 0
+    header = ["g_0", "f_nominal", "f_small_gap", "f_large_gap", "f_net"]
+    return Outcome({"normal.csv": (header, rows)},
+                   f"normal: per-side pull {rows[0][1]:.4f} N, "
+                   f"net at g_0 = {g0_max:.4g} m: {rows[-1][4]:.4f} N")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "verify")
+def cmd_verify(args: argparse.Namespace, design: MotorDesign,
+               trunc: HarmonicTruncation) -> Outcome:
     results = verify.verify_suite(design, trunc, skip_fd=args.skip_fd)
-    print(verify.format_report(results))
-    _write_csv(run.path("verify_report.csv"),
-               ["name", "status", "margin", "detail"],
-               ([r.name, "PASS" if r.passed else "FAIL", r.margin, r.detail]
-                for r in results))
-    run.finish(design, trunc)
-    return 0 if all(r.passed for r in results) else 1
+    report = (["name", "status", "margin", "detail"],
+              ([r.name, "PASS" if r.passed else "FAIL", r.margin, r.detail]
+               for r in results))
+    return Outcome({"verify_report.csv": report}, verify.format_report(results),
+                   0 if all(r.passed for r in results) else 1)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "sweep")
-    axes = dict(args.axis)
-    result = studio.sweep(design, _stage(args), _objective(args), axes, trunc)
-    _write_csv(run.path("sweep.csv"), list(result.columns), result.table)
-    _write_json(run.path("summary.json"), {
+def _best(point: dict[str, float]) -> str:
+    return ", ".join(f"{k} = {v:.6g}" for k, v in point.items())
+
+
+def cmd_sweep(args: argparse.Namespace, design: MotorDesign,
+              trunc: HarmonicTruncation) -> Outcome:
+    result = studio.sweep(design, _stage(args), _objective(args),
+                          dict(args.axis), trunc)
+    summary = {
         "best_index": result.best_index,
         "best_point": _jsonable(result.best_point),
         "best_score": result.best_score,
         "points": int(result.table.shape[0]),
-    })
-    run.finish(design, trunc)
-    best = ", ".join(f"{k} = {v:.6g}" for k, v in result.best_point.items())
-    print(f"sweep: {result.table.shape[0]} points, "
-          f"best score {result.best_score:.6f} at {best}")
-    return 0
+    }
+    return Outcome({"sweep.csv": (list(result.columns), result.table),
+                    "summary.json": summary},
+                   f"sweep: {result.table.shape[0]} points, best score "
+                   f"{result.best_score:.6f} at {_best(result.best_point)}")
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "optimize")
-    bounds = dict(args.bounds)
-    result = studio.optimize(design, _stage(args), _objective(args), bounds,
-                             trunc, coarse=args.coarse, passes=args.passes)
-    _write_csv(run.path("optimize_trace.csv"), list(result.trace_columns),
-               result.trace)
-    _write_json(run.path("summary.json"), {
+def cmd_optimize(args: argparse.Namespace, design: MotorDesign,
+                 trunc: HarmonicTruncation) -> Outcome:
+    result = studio.optimize(design, _stage(args), _objective(args),
+                             dict(args.bounds), trunc, coarse=args.coarse,
+                             passes=args.passes)
+    summary = {
         "best_point": _jsonable(result.best_point),
         "best_score": result.best_score,
         "best_metrics": _jsonable(dataclasses.asdict(result.best_metrics)),
         "evaluations": int(result.trace.shape[0]),
         "incumbent_scores": _jsonable(result.incumbent_scores),
-    })
-    run.finish(design, trunc)
-    best = ", ".join(f"{k} = {v:.6g}" for k, v in result.best_point.items())
-    print(f"optimize: {result.trace.shape[0]} evaluations, "
-          f"best score {result.best_score:.6f} at {best}")
-    return 0
+    }
+    return Outcome({"optimize_trace.csv": (list(result.trace_columns), result.trace),
+                    "summary.json": summary},
+                   f"optimize: {result.trace.shape[0]} evaluations, best score "
+                   f"{result.best_score:.6f} at {_best(result.best_point)}")
 
 
-def cmd_sizing(args: argparse.Namespace) -> int:
-    design, trunc = _load(args)
-    run = Run(args, "sizing")
+def cmd_sizing(args: argparse.Namespace, design: MotorDesign,
+               trunc: HarmonicTruncation) -> Outcome:
     j_av = design.J_max if args.j_av is None else args.j_av
     sizing = studio.initial_sizing(args.b_av, j_av, design)
-    _write_csv(run.path("sizing.csv"),
-               ["tau_av_N_per_m2", "f_av_N", "p_per_volume_W_per_m3"],
-               [[sizing.tau_av, sizing.f_av, sizing.p_per_volume]])
-    run.finish(design, trunc)
-    print(f"shear stress: {sizing.tau_av:.6g} N/m^2")
-    print(f"unit-cell force: {sizing.f_av:.6g} N")
-    print(f"loss density: {sizing.p_per_volume:.6g} W/m^3")
-    return 0
+    header = ["tau_av_N_per_m2", "f_av_N", "p_per_volume_W_per_m3"]
+    return Outcome({"sizing.csv": (header, [[sizing.tau_av, sizing.f_av,
+                                             sizing.p_per_volume]])},
+                   f"shear stress: {sizing.tau_av:.6g} N/m^2\n"
+                   f"unit-cell force: {sizing.f_av:.6g} N\n"
+                   f"loss density: {sizing.p_per_volume:.6g} W/m^3")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the config, run the command, and only then create --out, write
+    the command's files and the manifest, and print the summary."""
+    design, trunc = load_design(args.config)
+    if args.nmax is not None:
+        trunc = HarmonicTruncation(args.nmax)
+    started = time.perf_counter()
+    outcome = args.func(args, design, trunc)
+    os.makedirs(args.out, exist_ok=True)
+    for name, content in outcome.files.items():
+        path = os.path.join(args.out, name)
+        if name.endswith(".json"):
+            _write_json(path, content)
+        else:
+            _write_csv(path, *content)
+    params = {k: _jsonable(v) for k, v in vars(args).items()
+              if k not in ("func", "config", "out")}
+    params["design"] = dataclasses.asdict(design)
+    params["n_max_harmonic"] = trunc.n_max
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
+        "config": os.path.abspath(args.config),
+        "params": params,
+        "outputs": list(outcome.files),
+        "version": __version__,
+        "duration_s": time.perf_counter() - started,
+    })
+    print(outcome.summary)
+    return outcome.code
 
 
 def _add_stage_objective(sub: argparse.ArgumentParser) -> None:
@@ -444,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (SingularSystem, NoConvergence) as exc:
         print(f"physics failure: {exc}", file=sys.stderr)
         return 1

@@ -14,10 +14,10 @@ sheet sources at the array faces land on the grid with their dipole
 moments intact, which preserves second-order convergence.
 
 The linear system is solved directly (FFT across x, tridiagonal sweeps in
-y); the residual contract is checked after the fact and a one-line
-residual log is kept.  With back iron the M_y band is extended through
-the wall: the iron face is an equipotential, and stopping the band there
-would plant a spurious half-sheet on the boundary row.
+y); the residual contract is checked after the fact.  With back iron the
+M_y band is extended through the wall: the iron face is an equipotential,
+and stopping the band there would plant a spurious half-sheet on the
+boundary row.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .laplace import FieldCoefficients, airgap_B_y, solve_coefficients
 
 _RESIDUAL_CONTRACT = 1e-10
 _MIN_CELLS_PER_ARRAY = 16
+_PAD_WAVELENGTHS = 3.0     # open-back top boundary above the array
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class FdGrid:
     mx_face: np.ndarray
     my_face: np.ndarray
     residual: float
-    residual_log: tuple
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ def _band_fraction(y_centers: np.ndarray, dy: float, lo: float,
     return np.clip(b - a, 0.0, None) / dy
 
 
-def solve_scalar_poisson(design: MotorDesign, nx: int = 1024, ny: int = 512,
-                         pad_wavelengths: float = 3.0) -> FdGrid:
+def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
+                         ny: int = 512) -> FdGrid:
     """Direct solve of the 5-point system; raises NoConvergence if the
     relative residual exceeds 1e-10 of the source norm."""
     ge = design.g_e
     top = ge + design.h_m
-    y_max = top if design.back_iron else top + pad_wavelengths * design.lam
+    y_max = top if design.back_iron else top + _PAD_WAVELENGTHS * design.lam
     dx = design.lam / nx
     dy = y_max / ny
     if design.h_m / dy < _MIN_CELLS_PER_ARRAY:
@@ -143,7 +143,7 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024, ny: int = 512,
     if res > _RESIDUAL_CONTRACT:
         raise NoConvergence(f"final residual {res:.3e} exceeds {_RESIDUAL_CONTRACT:g}")
     return FdGrid(nx, ny, dx, dy, y_max, design.back_iron, psi,
-                  mx_face, my_face, res, ((0, res),))
+                  mx_face, my_face, res)
 
 
 def fd_fields(design: MotorDesign, grid: FdGrid) -> FdFieldMap:

@@ -159,13 +159,13 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
 
 
 def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
-                      n_scan: int = 360, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Total thrust at t versus array shift x_0 over one wavelength."""
+                      n_scan: int = 360) -> tuple[np.ndarray, np.ndarray]:
+    """Total thrust at t = 0 versus array shift x_0 over one wavelength."""
     x0s = np.arange(n_scan) * design.lam / n_scan
     ns, nk, A1_sinh = _amplitudes(design, coeffs)
     amp = -8 * MU0 * design.L / nk * A1_sinh
-    window, _ = _window_sums(design, ns, nk, amp, design.u * t + x0s)
-    totals = (all_phase_currents(design, float(t)) * window).sum(axis=0)
+    window, _ = _window_sums(design, ns, nk, amp, x0s)
+    totals = (all_phase_currents(design, 0.0) * window).sum(axis=0)
     return x0s, totals
 
 
@@ -211,14 +211,19 @@ def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
     return PowerBalance(ts, electrical, mechanical, dev)
 
 
-def emf_thd(design: MotorDesign, coeffs: FieldCoefficients, x_0: float = 0.0,
-            nt: int = 720) -> np.ndarray:
-    """Per-phase EMF total harmonic distortion over one period."""
-    e = back_emf(design, coeffs, period_grid(design, nt), x_0)
-    spectrum = np.fft.rfft(e.emf, axis=1) / nt
-    fund = np.abs(spectrum[:, 1])
-    rest = np.sqrt((np.abs(spectrum[:, 2:]) ** 2).sum(axis=1))
-    return rest / np.where(fund > 0, fund, np.inf)
+def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:
+    """Per-phase EMF total harmonic distortion, from the line amplitudes.
+
+    Array harmonic n drives EMF line n of every phase, with amplitude
+    proportional to |A1 sinh(nk h_c) / nk * sin(n pi / 2 N_ph)|: the slot
+    window of a phase spans n pi / N_ph of harmonic n's phase, and the
+    array shift and phase offsets move only the line's phase.  So the THD
+    is the same for every phase and exact, with no sampled period to alias.
+    """
+    ns, nk, A1_sinh = _amplitudes(design, coeffs)
+    lines = np.abs(A1_sinh / nk * np.sin(ns * np.pi / (2 * design.N_ph)))
+    fund, rest = lines[0], np.sqrt((lines[1:] ** 2).sum())  # ns[0] == 1
+    return np.full(design.N_ph, rest / fund if fund > 0 else 0.0)
 
 
 def attraction_force(design: MotorDesign, coeffs: FieldCoefficients) -> float:

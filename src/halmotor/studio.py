@@ -169,16 +169,16 @@ def objective(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 
 
 def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
-                    trunc: HarmonicTruncation | None = None,
-                    n_scan: int = 360, nt: int = 720) -> tuple[StageMetrics, float]:
-    """Solve one design point end to end: fields, optimal shift, mean
-    thrust over a period, stage metrics, objective score."""
+                    trunc: HarmonicTruncation | None = None) -> tuple[StageMetrics, float]:
+    """Solve one design point end to end: fields, optimal shift (360-point
+    scan), mean thrust over a 720-sample period, stage metrics, objective
+    score."""
     trunc = trunc or HarmonicTruncation()
     coeffs = solve_coefficients(design, fourier_coefficients(design, trunc))
-    x_best, _ = optimal_shift(design, coeffs, n_scan)
-    series = thrust_time_series(design, coeffs, x_best, nt)
+    x_best, _ = optimal_shift(design, coeffs)
+    series = thrust_time_series(design, coeffs, x_best)
     metrics = stage_metrics(design, stage, series.mean)
-    thd = float(emf_thd(design, coeffs, x_best, nt).max()) if obj.needs_thd else None
+    thd = float(emf_thd(design, coeffs).max()) if obj.needs_thd else None
     metrics = dataclasses.replace(metrics, ripple_pct=series.ripple_pct, thd=thd)
     return metrics, objective(design, stage, obj, metrics)
 

@@ -77,10 +77,12 @@ def test_fields_ymax_outside_domain(tmp_path, capsys):
     cfg = tmp_path / "iron.cfg"
     cfg.write_text(CONFIG_TEXT.replace("back_iron          = false",
                                        "back_iron          = true"))
-    rc = cli.main(["fields", "--config", str(cfg), "--out", str(tmp_path),
+    out = tmp_path / "out"
+    rc = cli.main(["fields", "--config", str(cfg), "--out", str(out),
                    "--ymax", "0.02"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # a failed command writes nothing
 
 
 def test_force_outputs(config_path, tmp_path):
@@ -126,7 +128,7 @@ def test_emf_outputs(config_path, tmp_path):
     design, trunc = load_design(str(config_path))
     coeffs = laplace.solve_coefficients(
         design, fourier_coefficients(design, trunc))
-    want = quantities.emf_thd(design, coeffs, 0.0, 24)
+    want = quantities.emf_thd(design, coeffs)
     for m in (1, 2, 3):
         thd_col = set(_column(rows, f"thd_{m}"))
         assert len(thd_col) == 1
@@ -329,10 +331,11 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, key, value):
     lines = [ln for ln in CONFIG_TEXT.splitlines() if not ln.startswith(key)]
     cfg.write_text("\n".join(lines + [f"{key} = {value}", ""]))
     extra = ["--axis", "h_c=0.003:0.005:2"] if command == "sweep" else []
-    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path),
-                   *extra])
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out), *extra])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # no CSV and no manifest.json
 
 
 def test_version_has_one_source():
@@ -351,10 +354,11 @@ def test_bad_sweep_axis_exits_2(config_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_grid_is_usage_error(config_path, tmp_path):
+@pytest.mark.parametrize("grid", ["256", "2048x1024", "100000x100000"])
+def test_malformed_grid_is_usage_error(config_path, tmp_path, grid):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fields", "--config", str(config_path),
-                  "--out", str(tmp_path), "--grid", "256"])
+                  "--out", str(tmp_path), "--grid", grid])
     assert exc.value.code == 2
 
 

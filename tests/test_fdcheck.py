@@ -24,7 +24,6 @@ def grid_open(table1):
 
 def test_residual_contract_and_log(grid_open):
     assert grid_open.residual < 1e-10
-    assert grid_open.residual_log == ((0, grid_open.residual),)
     assert grid_open.psi.shape == (512, 609)
 
 

@@ -4,6 +4,8 @@ Frozen numbers below were produced by this implementation at n_max = 199
 once the dual analytic/quadrature routes agreed, and are pinned at full
 precision to catch regressions.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,19 @@ def test_emf_thd_equal_across_phases(table1, coeffs):
     thd = emf_thd(table1, coeffs)
     assert thd.shape == (3,)
     np.testing.assert_allclose(thd, THD, rtol=1e-12)
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+@pytest.mark.parametrize("n_ph", [3, 5])
+def test_emf_thd_matches_sampled_spectrum(back_iron, n_ph):
+    # 4096 samples resolve every line up to n_max = 199 without aliasing
+    design = dataclasses.replace(make_case(2, back_iron), N_ph=n_ph)
+    _, coeffs = _solved(design)
+    nt = 4096
+    e = back_emf(design, coeffs, np.arange(nt) / (nt * design.f), x_0=0.003)
+    spectrum = np.abs(np.fft.rfft(e.emf, axis=1))
+    want = np.sqrt((spectrum[:, 2:] ** 2).sum(axis=1)) / spectrum[:, 1]
+    np.testing.assert_allclose(emf_thd(design, coeffs), want, rtol=1e-12)
 
 
 def test_attraction_frozen_and_quadrature(table1, coeffs):
