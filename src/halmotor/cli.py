@@ -133,31 +133,41 @@ def _grid_spec(text: str) -> tuple[int, int]:
     return pair
 
 
-def _axis_spec(text: str) -> tuple[str, np.ndarray]:
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _key_numbers(text: str, form: str) -> tuple[str, list[str]]:
+    """Split a KEY=A:B... flag value into the key and as many fields as
+    `form` names."""
     key, eq, span = text.partition("=")
     parts = span.split(":")
-    if not eq or len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected KEY=LO:HI:N, got {text!r}")
+    if not eq or len(parts) != form.count(":") + 1:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return key.strip(), parts
+
+
+def _axis_spec(text: str) -> tuple[str, np.ndarray]:
+    key, (lo, hi, n) = _key_numbers(text, "KEY=LO:HI:N")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        n = int(n)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad axis numbers in {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("axis needs at least one point")
-    return key.strip(), np.linspace(lo, hi, n)
+    return key, np.linspace(_finite_float(lo), _finite_float(hi), n)
 
 
 def _bounds_spec(text: str) -> tuple[str, tuple[float, float]]:
-    key, eq, span = text.partition("=")
-    parts = span.split(":")
-    if not eq or len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected KEY=LO:HI, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bounds in {text!r}")
-    return key.strip(), (lo, hi)
+    key, (lo, hi) = _key_numbers(text, "KEY=LO:HI")
+    return key, (_finite_float(lo), _finite_float(hi))
 
 
 def _stage(args: argparse.Namespace) -> studio.StageSpec:
@@ -331,28 +341,28 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _add_stage_objective(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--stage-length", type=float, default=0.6,
+    sub.add_argument("--stage-length", type=_finite_float, default=0.6,
                      help="stage length in m (default 0.6)")
-    sub.add_argument("--stage-mass", type=float, default=100.0,
+    sub.add_argument("--stage-mass", type=_finite_float, default=100.0,
                      help="payload-side stage mass in kg (default 100)")
-    sub.add_argument("--depth", type=float, default=0.3,
+    sub.add_argument("--depth", type=_finite_float, default=0.3,
                      help="stage in-depth length in m (default 0.3)")
     sub.add_argument("--moving", choices=(studio.MOVING_PM, studio.MOVING_STATOR),
                      default=studio.MOVING_PM,
                      help="which member moves (default moving-PM)")
     sub.add_argument("--nsu", type=int, default=None,
                      help="stator unit count (default: PM units + 1)")
-    sub.add_argument("--alpha", type=float, default=1.0,
+    sub.add_argument("--alpha", type=_finite_float, default=1.0,
                      help="acceleration exponent (default 1.0)")
-    sub.add_argument("--beta", type=float, default=0.2,
+    sub.add_argument("--beta", type=_finite_float, default=0.2,
                      help="copper-loss exponent (default 0.2)")
-    sub.add_argument("--w-thd", type=float, default=0.0,
+    sub.add_argument("--w-thd", type=_finite_float, default=0.0,
                      help="EMF THD weight in the extended objective")
-    sub.add_argument("--w-ripple", type=float, default=0.0,
+    sub.add_argument("--w-ripple", type=_finite_float, default=0.0,
                      help="force-ripple weight in the extended objective")
-    sub.add_argument("--w-cost", type=float, default=0.0,
+    sub.add_argument("--w-cost", type=_finite_float, default=0.0,
                      help="drive-cost weight in the extended objective")
-    sub.add_argument("--cost-drive", type=float, default=None,
+    sub.add_argument("--cost-drive", type=_finite_float, default=None,
                      help="drive cost scalar, required when --w-cost > 0")
 
 
@@ -378,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solution formulation (default laplace)")
     p.add_argument("--grid", type=_grid_spec, default=(256, 128),
                    metavar="NXxNY", help="map resolution (default 256x128)")
-    p.add_argument("--ymax", type=float, default=None,
+    p.add_argument("--ymax", type=_finite_float, default=None,
                    help="top of the mapped band in m (default: g_e + h_m)")
 
     p = sub("force", cmd_force, "thrust profile and force-angle sweep")
-    p.add_argument("--x0", type=float, default=None,
+    p.add_argument("--x0", type=_finite_float, default=None,
                    help="array shift in m (default: force-angle optimum)")
     p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
@@ -390,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force-angle sweep points (default 360)")
 
     p = sub("emf", cmd_emf, "flux linkage, back-EMF, and phase currents")
-    p.add_argument("--x0", type=float, default=0.0,
+    p.add_argument("--x0", type=_finite_float, default=0.0,
                    help="array shift in m (default 0)")
     p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
 
     p = sub("normal", cmd_normal, "attraction force and misalignment sweep")
-    p.add_argument("--g0", type=float, default=None,
+    p.add_argument("--g0", type=_finite_float, default=None,
                    help="max gap offset in m (default: config gap_offset_m)")
 
     p = sub("sweep", cmd_sweep, "full-factorial design sweep")
@@ -416,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage_objective(p)
 
     p = sub("sizing", cmd_sizing, "rule-of-thumb initial sizing")
-    p.add_argument("--b-av", type=float, required=True,
+    p.add_argument("--b-av", type=_finite_float, required=True,
                    help="average airgap flux density in T")
-    p.add_argument("--j-av", type=float, default=None,
+    p.add_argument("--j-av", type=_finite_float, default=None,
                    help="average current density in A/m^2 (default: config)")
 
     p = sub("verify", cmd_verify, "run the physics verification suite")

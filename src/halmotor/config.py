@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InvalidMagnetCount,
     MissingKey,
     NonPositiveLength,
@@ -25,9 +24,10 @@ from .errors import (
 
 MU0 = 4e-7 * math.pi
 
-# Slot filling order: (sign, phase index j) per slot across one pole pitch.
-# The current density in slot m is sign * J cos(w t - (j - 1) 2 pi / N_ph + phi_0);
-# the second pole pitch carries the return conductors with opposite sign.
+# The winding.  Go side m = 1..N_ph spans [m - 3/2, m - 1/2) slot widths on
+# the stator, so side 1 straddles x = 0; the return sides follow one pole
+# pitch on with opposite sign.  _SLOT_PATTERN gives (sign, phase index j) per
+# go side: its current density is sign * J cos(w t - (j - 1) 2 pi / N_ph + phi_0).
 _SLOT_PATTERN = {
     3: ((1, 1), (-1, 3), (1, 2)),
     5: ((1, 1), (-1, 4), (1, 2), (-1, 5), (1, 3)),
@@ -174,11 +174,8 @@ _CONFIG_KEYS: dict[str, tuple[str, object, bool]] = {
     "rho_cu_kg_m3": ("rho_cu", float, False),
     "sigma_cu_S_m": ("sigma_cu", float, False),
     "gap_offset_m": ("g_0", float, False),
+    "n_max_harmonic": ("n_max", int, False),    # feeds HarmonicTruncation
 }
-
-# n_max_harmonic is handled alongside the design keys but feeds the
-# truncation, not the MotorDesign.
-_TRUNC_KEY = "n_max_harmonic"
 
 
 def load_design(path) -> tuple[MotorDesign, HarmonicTruncation]:
@@ -202,7 +199,7 @@ def load_design(path) -> tuple[MotorDesign, HarmonicTruncation]:
             raw[key] = val.strip()
 
     for key in raw:
-        if key not in _CONFIG_KEYS and key != _TRUNC_KEY:
+        if key not in _CONFIG_KEYS:
             raise UnknownKey(key)
 
     kwargs = {}
@@ -215,35 +212,62 @@ def load_design(path) -> tuple[MotorDesign, HarmonicTruncation]:
         elif required:
             raise MissingKey(key)
 
-    n_max = int(raw[_TRUNC_KEY]) if _TRUNC_KEY in raw else 199
-    return MotorDesign(**kwargs), HarmonicTruncation(n_max)
+    trunc = {"n_max": kwargs.pop("n_max")} if "n_max" in kwargs else {}
+    return MotorDesign(**kwargs), HarmonicTruncation(**trunc)
 
 
-def phase_current_density(design: MotorDesign, m: int, t) -> np.ndarray | float:
-    """Current density J_m(t) in slot m (1-based across one pole pitch)."""
-    if not 1 <= m <= design.N_ph:
-        raise IndexOutOfRange("slot", m, design.N_ph)
-    sign, j = _SLOT_PATTERN[design.N_ph][m - 1]
-    t = np.asarray(t, dtype=float)
-    out = sign * design.J_max * np.cos(
-        design.omega * t - (j - 1) * 2 * math.pi / design.N_ph + design.phi_0)
-    return out if out.ndim else float(out)
+def slot_offsets(design: MotorDesign) -> np.ndarray:
+    """Left edge of each go side in slot widths, m - 3/2 for m = 1..N_ph."""
+    return np.arange(1, design.N_ph + 1) - 1.5
 
 
-def all_phase_currents(design: MotorDesign, t: np.ndarray) -> np.ndarray:
-    """J_m(t) for every slot, shape (N_ph, len(t))."""
+def all_phase_currents(design: MotorDesign, t) -> np.ndarray:
+    """Current density of every go side, shape (N_ph, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.stack([phase_current_density(design, m, t) for m in range(1, design.N_ph + 1)])
+    sign, j = np.array(_SLOT_PATTERN[design.N_ph]).T[:, :, None]
+    return sign * design.J_max * np.cos(
+        design.omega * t - (j - 1) * 2 * math.pi / design.N_ph + design.phi_0)
 
 
-def slot_bounds(design: MotorDesign, m: int) -> tuple[float, float]:
-    """x-extent of coil side m in the first pole pitch.
+class PeriodicSteps:
+    """A periodic step profile and its exact interval averages.
 
-    Side m is centred at (m - 1) lam / (2 N_ph); side 1 straddles x = 0 and
-    wraps around the period.  The return side sits half a period away with
-    opposite sign.
+    The profile takes values[i] on [edges[i], edges[i + 1]), moved by
+    `origin` and repeated with period edges[-1] - edges[0].  Its running
+    integral is piecewise linear, so the integral up to any x is a count of
+    whole periods plus one interpolated lookup within a period, and interval
+    averages stay exact however many periods or steps an interval spans.
     """
-    if not 1 <= m <= design.N_ph:
-        raise IndexOutOfRange("slot", m, design.N_ph)
-    w = design.slot_width
-    return (m - 1.5) * w, (m - 0.5) * w
+
+    def __init__(self, edges, values, origin: float = 0.0):
+        self.edges = np.asarray(edges, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.origin = float(origin)
+        self._running = np.concatenate(
+            [[0.0], np.cumsum(self.values * np.diff(self.edges))])
+
+    def integral(self, x) -> np.ndarray:
+        """Integral of the profile from origin + edges[0] up to x."""
+        r = np.asarray(x, dtype=float) - self.origin
+        period = self.edges[-1] - self.edges[0]
+        wrap = np.floor((r - self.edges[0]) / period)
+        return (wrap * self._running[-1]
+                + np.interp(r - wrap * period, self.edges, self._running))
+
+    def average(self, lo, hi) -> np.ndarray:
+        """Exact mean of the profile over each interval [lo, hi)."""
+        return (self.integral(hi) - self.integral(lo)) / (hi - lo)
+
+
+def slot_current_profile(design: MotorDesign, t: float,
+                         shift: float = 0.0) -> PeriodicSteps:
+    """Slot current density J(x) of all 2 N_ph coil sides at time t.
+
+    The profile is given in stator coordinates moved back by `shift`, so
+    shift = u t + x_0 gives it in the frame of the array.
+    """
+    go = slot_offsets(design)
+    sides = np.concatenate([go, go + design.N_ph, go[:1] + 2 * design.N_ph])
+    J = all_phase_currents(design, float(t))[:, 0]
+    return PeriodicSteps(sides * design.slot_width, np.concatenate([J, -J]),
+                         origin=-shift)

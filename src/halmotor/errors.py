@@ -47,12 +47,6 @@ class OffsetExceedsGap(ConfigError):
         self.g = g
 
 
-class IndexOutOfRange(HalmotorError):
-    def __init__(self, what: str, index: int, upper: int):
-        super().__init__(f"{what} index {index} outside 1..{upper}")
-        self.index = index
-
-
 class SingularSystem(HalmotorError):
     """The per-harmonic boundary system could not be solved reliably."""
 

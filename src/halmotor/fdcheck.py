@@ -18,6 +18,10 @@ y); the residual contract is checked after the fact.  With back iron the
 M_y band is extended through the wall: the iron face is an equipotential,
 and stopping the band there would plant a spurious half-sheet on the
 boundary row.
+
+The Lorentz-force check deposits the slot currents the same way, as exact
+cell averages of `config.slot_current_profile`, which also owns the slot
+layout.
 """
 from __future__ import annotations
 
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MU0, HarmonicTruncation, MotorDesign, all_phase_currents
+from .config import MU0, HarmonicTruncation, MotorDesign, slot_current_profile
 from .errors import NoConvergence
-from .halbach import PiecewiseMagnetization, fourier_coefficients
+from .halbach import fourier_coefficients, magnetization_steps
 from .laplace import FieldCoefficients, airgap_B_y, solve_coefficients
 
 _RESIDUAL_CONTRACT = 1e-10
@@ -102,10 +106,10 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
             f"grid must resolve the array height with >= {_MIN_CELLS_PER_ARRAY} "
             f"cells; got {design.h_m / dy:.1f}")
 
-    mag = PiecewiseMagnetization(design)
+    m_x, m_y = magnetization_steps(design)
     xi = np.arange(nx) * dx
-    ay = mag.avg_m_y(xi - dx / 2, xi + dx / 2)
-    fx = mag.avg_m_x(xi, xi + dx)
+    ay = m_y.average(xi - dx / 2, xi + dx / 2)
+    fx = m_x.average(xi, xi + dx)
 
     yj = np.arange(ny + 1) * dy
     fy_node = _band_fraction(yj, dy, ge, top)
@@ -157,10 +161,10 @@ def fd_fields(design: MotorDesign, grid: FdGrid) -> FdFieldMap:
 
     ge = design.g_e
     top = ge + design.h_m
-    mag = PiecewiseMagnetization(design)
+    m_x, m_y = magnetization_steps(design)
     xi = np.arange(grid.nx) * dx
-    ax = mag.avg_m_x(xi - dx / 2, xi + dx / 2)
-    ay = mag.avg_m_y(xi - dx / 2, xi + dx / 2)
+    ax = m_x.average(xi - dx / 2, xi + dx / 2)
+    ay = m_y.average(xi - dx / 2, xi + dx / 2)
     yj = np.arange(grid.ny + 1) * dy
     fy_mx = _band_fraction(yj, dy, ge, top)
     fy_my = _band_fraction(yj, dy, ge, np.inf if design.back_iron else top)
@@ -194,12 +198,8 @@ def box_flux(grid: FdGrid, i0: int, i1: int, j0: int, j1: int) -> tuple[float, f
 
 
 def midgap_comparison(design: MotorDesign, grid: FdGrid,
-                      coeffs: FieldCoefficients | None = None,
-                      trunc: HarmonicTruncation | None = None) -> MidgapReport:
+                      coeffs: FieldCoefficients) -> MidgapReport:
     """FD B_y along the row nearest g_e/2 against the analytic series."""
-    if coeffs is None:
-        coeffs = solve_coefficients(design, fourier_coefficients(
-            design, trunc or HarmonicTruncation()))
     jstar = round((design.g_e / 2) / grid.dy)
     ystar = jstar * grid.dy
     psi = grid.psi
@@ -210,41 +210,8 @@ def midgap_comparison(design: MotorDesign, grid: FdGrid,
     return MidgapReport(ystar, b_fd, b_an, err)
 
 
-def _wrapped_cumulative(x: np.ndarray, lo: float, width: float,
-                        period: float) -> np.ndarray:
-    """Measure of (-inf, x) under the periodic indicator of [lo, lo+width)."""
-    r = x - lo
-    return np.floor(r / period) * width + np.clip(r - np.floor(r / period) * period,
-                                                  0.0, width)
-
-
-def slot_cell_averages(design: MotorDesign, t: float, shift: float,
-                       nx: int) -> np.ndarray:
-    """Exact node-cell averages of the slot current density in the array frame.
-
-    The array frame puts the magnets at the origin; the stator profile is
-    therefore displaced by -shift (shift = u t + x_0).
-    """
-    dx = design.lam / nx
-    xi = np.arange(nx) * dx
-    lo_edges = xi - dx / 2
-    hi_edges = xi + dx / 2
-    Jm = all_phase_currents(design, float(t))[:, 0]
-    ws = design.slot_width
-    prof = np.zeros(nx)
-    for m in range(1, design.N_ph + 1):
-        go = (m - 1.5) * ws - shift
-        for lo, sign in ((go, 1.0), (go + design.lam / 2, -1.0)):
-            prof += sign * Jm[m - 1] * (
-                _wrapped_cumulative(hi_edges, lo, ws, design.lam)
-                - _wrapped_cumulative(lo_edges, lo, ws, design.lam)) / dx
-    return prof
-
-
-def fd_force_check(design: MotorDesign, grid: FdGrid, t: float = 0.0,
-                   x_0: float = 0.0,
-                   coeffs: FieldCoefficients | None = None,
-                   trunc: HarmonicTruncation | None = None) -> ForceCheck:
+def fd_force_check(design: MotorDesign, grid: FdGrid, coeffs: FieldCoefficients,
+                   t: float = 0.0, x_0: float = 0.0) -> ForceCheck:
     """Lorentz quadrature of J B_y over the coil band on the FD grid.
 
     The y integral telescopes exactly: with psi = 0 on the stator face and
@@ -256,11 +223,10 @@ def fd_force_check(design: MotorDesign, grid: FdGrid, t: float = 0.0,
     """
     from .quantities import thrust
 
-    if coeffs is None:
-        coeffs = solve_coefficients(design, fourier_coefficients(
-            design, trunc or HarmonicTruncation()))
     shift = design.u * float(t) + x_0
-    jbar = slot_cell_averages(design, t, shift, grid.nx)
+    xi = np.arange(grid.nx) * grid.dx
+    jbar = slot_current_profile(design, t, shift).average(xi - grid.dx / 2,
+                                                          xi + grid.dx / 2)
     psi_hc = _interp_rows(grid.psi, design.h_c / grid.dy, grid.ny)
     f_fd = 2 * design.L * float((jbar * (-MU0 * psi_hc)).sum()) * grid.dx
     f_an = float(thrust(design, coeffs, t, x_0).total[0])
@@ -286,14 +252,12 @@ def convergence_levels(design: MotorDesign) -> tuple[tuple[int, int], ...]:
     return ((256, 304), (512, 608), (1024, 1216))
 
 
-def midgap_convergence(design: MotorDesign,
-                       levels: tuple[tuple[int, int], ...] | None = None,
-                       trunc: HarmonicTruncation | None = None) -> list[tuple[int, int, float]]:
-    """Mid-airgap error at successive refinements, for convergence checks."""
+def midgap_convergence(design: MotorDesign) -> list[tuple[int, int, float]]:
+    """Mid-airgap error at the convergence levels, for convergence checks."""
     coeffs = solve_coefficients(design, fourier_coefficients(
-        design, trunc or HarmonicTruncation()))
+        design, HarmonicTruncation()))
     out = []
-    for nx, ny in levels or convergence_levels(design):
+    for nx, ny in convergence_levels(design):
         grid = solve_scalar_poisson(design, nx, ny)
         rep = midgap_comparison(design, grid, coeffs)
         out.append((nx, ny, rep.max_rel_err))

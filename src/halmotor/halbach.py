@@ -21,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MU0, HarmonicTruncation, MotorDesign
+from .config import MU0, HarmonicTruncation, MotorDesign, PeriodicSteps
 
 
 @dataclass(frozen=True)
 class HalbachLayout:
     """Block decomposition of one full period (2 N_m blocks).
 
-    `indices[p]` is the rotation index i of block p, `angles[p]` its
-    magnetization angle theta_i = pi/2 - i dtheta, and `spans[p]` the
+    `indices[p]` is the rotation index i of block p and `spans[p]` its
     (theta_left, theta_right) extent.  Block spans tile [0, 2 pi) exactly;
     for even N_m the block centred at theta = 0 appears wrapped as the final
     span reaching 2 pi.
@@ -37,7 +36,6 @@ class HalbachLayout:
 
     N_m: int
     indices: tuple[int, ...]
-    angles: tuple[float, ...]
     spans: tuple[tuple[float, float], ...]
 
 
@@ -47,7 +45,7 @@ def build_layout(design: MotorDesign) -> HalbachLayout:
     # block i spans theta in [pi/2 + (i - 1/2) dth, pi/2 + (i + 1/2) dth)
     i_lo = math.floor((0.0 - math.pi / 2) / dth + 0.5)
     i_hi = math.floor((2 * math.pi - math.pi / 2) / dth + 0.5)
-    idx, ang, spans = [], [], []
+    idx, spans = [], []
     for i in range(i_lo, i_hi + 1):
         tl = math.pi / 2 + (i - 0.5) * dth
         tr = math.pi / 2 + (i + 0.5) * dth
@@ -55,9 +53,8 @@ def build_layout(design: MotorDesign) -> HalbachLayout:
         if b <= a:
             continue
         idx.append(i)
-        ang.append(math.pi / 2 - i * dth)
         spans.append((a, b))
-    return HalbachLayout(N_m, tuple(idx), tuple(ang), tuple(spans))
+    return HalbachLayout(N_m, tuple(idx), tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -140,36 +137,14 @@ def reconstruct_profiles(source: HarmonicSource, k: float,
     return (np.cos(args) @ source.k_n, np.sin(args) @ source.sigma_n)
 
 
-class PiecewiseMagnetization:
-    """Exact cell-average queries on the piecewise-constant magnetization.
+def magnetization_steps(design: MotorDesign) -> tuple[PeriodicSteps, PeriodicSteps]:
+    """M_x and M_y as exact step profiles over one period, block by block.
 
-    Breakpoints are the block boundaries mapped to x over one period; the
-    cumulative integrals are piecewise linear, so interval averages reduce
-    to two interpolated lookups.  Used by the finite-difference check, where
-    exactly averaged sources keep the sheet dipole moments on the grid.
+    Used by the finite-difference check, where exactly averaged sources
+    keep the sheet dipole moments on the grid.
     """
-
-    def __init__(self, design: MotorDesign):
-        lay = build_layout(design)
-        k = design.k
-        bps = [0.0]
-        mxv, myv = [], []
-        for i, (a, b) in zip(lay.indices, lay.spans):
-            bps.append(b / k)
-            mxv.append(design.M * math.sin(i * design.dtheta))
-            myv.append(design.M * math.cos(i * design.dtheta))
-        self.lam = design.lam
-        self._bps = np.array(bps)
-        self._cum_x = np.concatenate([[0.0], np.cumsum(np.array(mxv) * np.diff(self._bps))])
-        self._cum_y = np.concatenate([[0.0], np.cumsum(np.array(myv) * np.diff(self._bps))])
-
-    def _cum(self, xq: np.ndarray, cumv: np.ndarray) -> np.ndarray:
-        per = cumv[-1]
-        wrap = np.floor(xq / self.lam)
-        return wrap * per + np.interp(xq - wrap * self.lam, self._bps, cumv)
-
-    def avg_m_x(self, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
-        return (self._cum(x_hi, self._cum_x) - self._cum(x_lo, self._cum_x)) / (x_hi - x_lo)
-
-    def avg_m_y(self, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
-        return (self._cum(x_hi, self._cum_y) - self._cum(x_lo, self._cum_y)) / (x_hi - x_lo)
+    lay = build_layout(design)
+    edges = np.array([0.0] + [b for _, b in lay.spans]) / design.k
+    rot = np.array(lay.indices) * design.dtheta
+    return (PeriodicSteps(edges, design.M * np.sin(rot)),
+            PeriodicSteps(edges, design.M * np.cos(rot)))

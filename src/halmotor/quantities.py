@@ -1,10 +1,10 @@
 """Integral machine quantities: thrust, flux linkage, EMF, normal forces.
 
 Everything here consumes the region-I amplitudes A1 of a solved harmonic
-set.  Phase m's go conductors occupy [(m-3/2) w_s, (m-1/2) w_s] on the
-stator (w_s = lambda / 2 N_ph), the return conductors sit half a
-wavelength further on, and the array is displaced by u t + x_0.  Forces
-are per stator unit cell (one wavelength, both airgaps) at depth L.
+set.  The slot layout and the phase currents come from `config`
+(`slot_offsets`, `all_phase_currents`, `slot_current_profile`); the
+array is displaced by u t + x_0.  Forces are per stator unit cell (one
+wavelength, both airgaps) at depth L.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MU0, HarmonicTruncation, MotorDesign, all_phase_currents
+from .config import (MU0, HarmonicTruncation, MotorDesign, all_phase_currents,
+                     slot_current_profile, slot_offsets)
 from .errors import OffsetExceedsGap, ZeroVelocity
 from .halbach import fourier_coefficients
 from .laplace import FieldCoefficients, _region_terms, solve_coefficients
@@ -74,15 +75,14 @@ def _amplitudes(design: MotorDesign, coeffs: FieldCoefficients):
 
 
 def _edge_phases(design: MotorDesign, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-edge angles n k x for the left and right edge of every phase.
+    """Slot-edge angles n k x for the left and right edge of every go side.
 
-    Shapes (N_ph, H).  k x_left = (m - 3/2) pi / N_ph and so on, so the
-    harmonics just multiply by n.
+    Shapes (N_ph, H).  A slot width is pi / N_ph of the fundamental's
+    phase, so the harmonics just multiply by n.
     """
-    m = np.arange(1, design.N_ph + 1)[:, None]
-    left = ns[None, :] * (m - 1.5) * np.pi / design.N_ph
-    right = ns[None, :] * (m - 0.5) * np.pi / design.N_ph
-    return left, right
+    off = slot_offsets(design)[:, None]
+    return (ns[None, :] * off * np.pi / design.N_ph,
+            ns[None, :] * (off + 1) * np.pi / design.N_ph)
 
 
 def _window_sums(design: MotorDesign, ns: np.ndarray, nk: np.ndarray,
@@ -135,26 +135,21 @@ def thrust_time_series(design: MotorDesign, coeffs: FieldCoefficients,
 
 def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
                       x_0: float = 0.0, nx: int = 8192, ny: int = 96) -> float:
-    """Total thrust by midpoint quadrature of J B_y over the coil region.
+    """Total thrust by quadrature of J B_y over the coil region.
 
-    The independent route: build the slot current profile over one full
-    wavelength (slots wrap modulo lambda, returns half a wavelength on),
-    evaluate B_y on an nx-by-ny grid, and integrate.  The factor 2 counts
-    both airgaps.
+    The independent route: B_y is sampled at the midpoints of an nx-by-ny
+    grid over one wavelength of the coil band and weighted by the exact
+    cell averages of the slot current profile.  The factor 2 counts both
+    airgaps.
     """
-    xs = (np.arange(nx) + 0.5) * design.lam / nx
+    dx = design.lam / nx
+    xs = (np.arange(nx) + 0.5) * dx
     ys = (np.arange(ny) + 0.5) * design.h_c / ny
-    Jm = all_phase_currents(design, float(t))[:, 0]
-    ws = design.slot_width
-    Jx = np.zeros(nx)
-    for m in range(1, design.N_ph + 1):
-        xl = (m - 1.5) * ws
-        Jx += Jm[m - 1] * (((xs - xl) % design.lam) < ws)
-        Jx -= Jm[m - 1] * (((xs - xl - design.lam / 2) % design.lam) < ws)
+    Jx = slot_current_profile(design, t).average(xs - dx / 2, xs + dx / 2)
     shift = design.u * float(t) + x_0
     _, nk, P, Q = _region_terms(design, coeffs, ys[:, None], "I")
     By = np.sin(np.outer(xs - shift, nk)) @ (-MU0 * nk * (P - Q)).T
-    integral = float((Jx[:, None] * By).sum()) * (design.lam / nx) * (design.h_c / ny)
+    integral = float((Jx[:, None] * By).sum()) * dx * (design.h_c / ny)
     return 2 * design.L * integral
 
 

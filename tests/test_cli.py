@@ -1,4 +1,5 @@
 """End-to-end CLI runs: file outputs, manifest contents, exit codes."""
+import argparse
 import csv
 import dataclasses
 import json
@@ -384,3 +385,32 @@ def test_bad_count_is_usage_error(config_path, tmp_path, capsys, argv):
         cli.main([*argv, "--config", str(config_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["force", "--x0", "nan"],
+    ["fields", "--ymax", "nan"],
+    ["normal", "--g0", "nan"],
+    ["sizing", "--b-av", "nan"],
+    ["sweep", "--axis", "h_c=0.003:0.005:2", "--alpha", "nan"],
+    ["emf", "--x0", "inf"],
+    ["optimize", "--bounds", "h_c=0.001:inf"],
+], ids=["force-x0-nan", "fields-ymax-nan", "normal-g0-nan", "sizing-b-av-nan",
+        "sweep-alpha-nan", "emf-x0-inf", "optimize-bounds-inf"])
+def test_non_finite_float_is_usage_error(config_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(config_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_float_flag_skips_the_finite_check():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.type is not float, (name, action.dest)

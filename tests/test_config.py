@@ -8,13 +8,13 @@ from halmotor.config import (
     MU0,
     HarmonicTruncation,
     MotorDesign,
+    PeriodicSteps,
     all_phase_currents,
     load_design,
-    phase_current_density,
-    slot_bounds,
+    slot_current_profile,
+    slot_offsets,
 )
 from halmotor.errors import (
-    IndexOutOfRange,
     InvalidMagnetCount,
     MissingKey,
     NonPositiveLength,
@@ -94,12 +94,18 @@ def test_load_design_optional_keys(tmp_path):
     ("rho_pm_kg_m3 = -5\n", ValueError),
     ("rho_cu_kg_m3 = nan\n", ValueError),
     ("turns_per_coil = 0\n", ValueError),
+    ("n_max_harmonic = abc\n", "config key 'n_max_harmonic'"),
+    ("n_max_harmonic = 1e3\n", "config key 'n_max_harmonic'"),
 ])
 def test_load_design_rejects_bad_lines(tmp_path, extra, exc):
     path = tmp_path / "d.cfg"
     path.write_text(CONFIG_TEXT + extra)
-    with pytest.raises(exc):
-        load_design(path)
+    if isinstance(exc, str):
+        with pytest.raises(ValueError, match=exc):
+            load_design(path)
+    else:
+        with pytest.raises(exc):
+            load_design(path)
 
 
 def test_load_design_missing_key(tmp_path):
@@ -110,16 +116,17 @@ def test_load_design_missing_key(tmp_path):
 
 
 def test_phase_currents_pattern(table1):
-    # slot 1 carries phase 1: J cos(wt), slot 3 phase 2, slot 2 minus phase 3
-    assert phase_current_density(table1, 1, 0.0) == pytest.approx(1e7)
-    j2 = phase_current_density(table1, 2, 0.0)
-    assert j2 == pytest.approx(-1e7 * math.cos(-4 * math.pi / 3))
+    # go side 1 carries phase 1: J cos(wt), side 3 phase 2, side 2 minus phase 3
     ts = np.linspace(0, 0.02, 7)
     stacked = all_phase_currents(table1, ts)
     assert stacked.shape == (3, 7)
-    for m in (1, 2, 3):
-        np.testing.assert_allclose(stacked[m - 1],
-                                   phase_current_density(table1, m, ts))
+    assert stacked[0, 0] == pytest.approx(1e7)
+    assert stacked[1, 0] == pytest.approx(-1e7 * math.cos(-4 * math.pi / 3))
+    wt = table1.omega * ts
+    np.testing.assert_allclose(stacked[0], 1e7 * np.cos(wt))
+    np.testing.assert_allclose(stacked[1], -1e7 * np.cos(wt - 4 * math.pi / 3))
+    np.testing.assert_allclose(stacked[2], 1e7 * np.cos(wt - 2 * math.pi / 3))
+    assert all_phase_currents(table1, 0.0).shape == (3, 1)
 
 
 def test_balanced_slot_sum(table1):
@@ -134,20 +141,59 @@ def test_balanced_slot_sum(table1):
 
 def test_five_phase_pattern():
     d5 = MotorDesign(**TABLE1, N_ph=5)
-    assert all_phase_currents(d5, 0.0).shape[0] == 5
-    assert slot_bounds(d5, 1)[1] - slot_bounds(d5, 1)[0] == pytest.approx(
-        d5.slot_width)
+    j = all_phase_currents(d5, 0.0)[:, 0]
+    phases = np.array([0, 3, 1, 4, 2]) * 2 * math.pi / 5
+    np.testing.assert_allclose(j, 1e7 * np.array([1, -1, 1, -1, 1]) * np.cos(phases))
 
 
-def test_slot_index_bounds(table1):
-    with pytest.raises(IndexOutOfRange):
-        phase_current_density(table1, 0, 0.0)
-    with pytest.raises(IndexOutOfRange):
-        slot_bounds(table1, 4)
+@pytest.mark.parametrize("n_ph", [3, 5])
+def test_slot_offsets_tile_pole_pitch(n_ph):
+    design = MotorDesign(**TABLE1, N_ph=n_ph)
+    offsets = slot_offsets(design)
+    assert offsets.tolist() == [m - 1.5 for m in range(1, n_ph + 1)]
+    left = offsets * design.slot_width
+    right = (offsets + 1) * design.slot_width
+    np.testing.assert_allclose(right[:-1], left[1:], rtol=0, atol=1e-18)
+    assert right[-1] - left[0] == pytest.approx(design.tau_p, rel=1e-14)
+    assert left[0] == -right[0]          # side 1 straddles x = 0
 
 
-def test_slot_bounds_tile_pole_pitch(table1):
-    edges = [slot_bounds(table1, m) for m in (1, 2, 3)]
-    for (left, right), (nleft, _) in zip(edges, edges[1:]):
-        assert right == pytest.approx(nleft)
-    assert edges[-1][1] - edges[0][0] == pytest.approx(table1.tau_p)
+def _brute_average(steps, lo, hi, n=200001):
+    """Mean of the profile over [lo, hi) from a fine midpoint sampling."""
+    edges, period = steps.edges, steps.edges[-1] - steps.edges[0]
+    x = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+    r = (x - steps.origin - edges[0]) % period + edges[0]
+    return steps.values[np.searchsorted(edges, r, side="right") - 1].mean()
+
+
+def test_periodic_steps_match_brute_force_average():
+    steps = PeriodicSteps([-0.3, 0.1, 0.4, 1.2, 1.7], [2.0, -1.0, 0.5, 3.0],
+                          origin=0.25)
+    period = 2.0
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-3 * period, 3 * period, 12)
+    hi = lo + rng.uniform(1e-3, 0.8 * period, 12)
+    # intervals through a period boundary (origin + edges[0] + k period),
+    # and ones longer than a period
+    lo = np.concatenate([lo, [-0.2, 1.8, 3.5, -2.4, 0.3]])
+    hi = np.concatenate([hi, [0.1, 2.2, 4.2, 1.1, 0.3 + 2.5 * period]])
+    got = steps.average(lo, hi)
+    want = np.array([_brute_average(steps, a, b) for a, b in zip(lo, hi)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-4)
+    full = steps.average(np.array([0.77]), np.array([0.77 + period]))
+    mean = (steps.values * np.diff(steps.edges)).sum() / period
+    assert full[0] == pytest.approx(mean, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_ph", [3, 5])
+def test_slot_current_profile_sides(n_ph):
+    design = MotorDesign(**TABLE1, N_ph=n_ph)
+    t, shift = 1.3e-3, 0.004
+    J = all_phase_currents(design, t)[:, 0]
+    prof = slot_current_profile(design, t, shift)
+    w = design.slot_width
+    centres = np.arange(n_ph) * w - shift          # go side m at (m - 1) w
+    np.testing.assert_allclose(prof.average(centres - w / 4, centres + w / 4), J)
+    np.testing.assert_allclose(
+        prof.average(centres + design.tau_p - w / 4, centres + design.tau_p + w / 4), -J)
+    assert prof.edges[-1] - prof.edges[0] == pytest.approx(design.lam, rel=1e-14)

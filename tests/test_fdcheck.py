@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from halmotor import fdcheck
-from halmotor.config import MU0, MotorDesign
+from halmotor.config import MU0, HarmonicTruncation, MotorDesign
 from halmotor.errors import NoConvergence
+from halmotor.halbach import fourier_coefficients, magnetization_steps
+from halmotor.laplace import solve_coefficients
 from halmotor.fdcheck import (box_flux, convergence_levels, face_fluxes,
                               fd_fields, fd_force_check, midgap_comparison,
                               midgap_convergence, solve_scalar_poisson)
@@ -15,6 +17,10 @@ from conftest import TABLE1, make_case
 # contract; the exact digits guard against silent stencil regressions)
 MIDGAP_OPEN_512 = 5.693659593710659e-4
 MIDGAP_IRON_512 = 1.938931148593162e-5
+
+
+def _solved(design):
+    return solve_coefficients(design, fourier_coefficients(design, HarmonicTruncation()))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +44,7 @@ def test_midgap_agreement_open(table1, grid_open, coeffs):
 def test_midgap_agreement_iron():
     design = make_case(3, back_iron=True)
     grid = solve_scalar_poisson(design, 512, 256)
-    rep = midgap_comparison(design, grid)
+    rep = midgap_comparison(design, grid, _solved(design))
     assert rep.max_rel_err == pytest.approx(MIDGAP_IRON_512, rel=1e-9)
 
 
@@ -99,10 +105,11 @@ def test_psi_row_line_integral(table1, grid_open):
 
 def test_force_check_converges_monotonically():
     design = MotorDesign(**TABLE1 | {"N_m": 5}, N_ph=5)
+    coeffs = _solved(design)
     gaps = []
     for nx, ny in convergence_levels(design):
         grid = solve_scalar_poisson(design, nx, ny)
-        chk = fd_force_check(design, grid, t=1.3e-3, x_0=0.004)
+        chk = fd_force_check(design, grid, coeffs, t=1.3e-3, x_0=0.004)
         assert chk.rel_gap < 3e-2
         gaps.append(chk.rel_gap)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -111,7 +118,7 @@ def test_force_check_converges_monotonically():
 def test_force_check_zero_current(table1, grid_open):
     dead = MotorDesign(**TABLE1, J_max=0.0)
     grid = solve_scalar_poisson(dead, 256, 304)
-    chk = fd_force_check(dead, grid)
+    chk = fd_force_check(dead, grid, _solved(dead))
     assert chk.f_analytic == 0.0
     assert chk.f_fd == 0.0
     assert chk.rel_gap == 0.0
@@ -132,7 +139,7 @@ def test_source_deposit_total_moment(table1, grid_open):
     # column sums of the face M_y band reproduce h_m times the cell average
     # of M_y(x): the deposit conserves the sheet dipole moment exactly
     col = grid_open.my_face.sum(axis=1) * grid_open.dy
-    mag = fdcheck.PiecewiseMagnetization(table1)
+    _, m_y = magnetization_steps(table1)
     xi = np.arange(grid_open.nx) * grid_open.dx
-    want = mag.avg_m_y(xi - grid_open.dx / 2, xi + grid_open.dx / 2) * table1.h_m
+    want = m_y.average(xi - grid_open.dx / 2, xi + grid_open.dx / 2) * table1.h_m
     np.testing.assert_allclose(col, want, rtol=0, atol=1e-9 * np.abs(want).max())

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 
 from halmotor.config import MU0, HarmonicTruncation
 from halmotor.halbach import (
-    PiecewiseMagnetization,
     build_layout,
     fourier_coefficients,
     magnetization_profiles,
+    magnetization_steps,
     reconstruct_profiles,
     source_profiles,
 )
@@ -117,7 +117,7 @@ def test_reconstruction_converges_away_from_edges(table1):
 
 
 def test_piecewise_averages_match_dense_sampling(table1):
-    mag = PiecewiseMagnetization(table1)
+    m_x, m_y = magnetization_steps(table1)
     rng = np.random.default_rng(11)
     lo = rng.uniform(-table1.lam, 2 * table1.lam, 40)
     hi = lo + rng.uniform(1e-5, table1.lam / 3, 40)
@@ -125,17 +125,17 @@ def test_piecewise_averages_match_dense_sampling(table1):
     for a, b in zip(lo, hi):
         dense = (a + (b - a) * xs)
         mx, my = magnetization_profiles(table1, dense % table1.lam)
-        assert mag.avg_m_x(np.array([a]), np.array([b]))[0] == pytest.approx(
+        assert m_x.average(np.array([a]), np.array([b]))[0] == pytest.approx(
             np.trapezoid(mx, dense) / (b - a), abs=2e-3 * table1.M)
-        assert mag.avg_m_y(np.array([a]), np.array([b]))[0] == pytest.approx(
+        assert m_y.average(np.array([a]), np.array([b]))[0] == pytest.approx(
             np.trapezoid(my, dense) / (b - a), abs=2e-3 * table1.M)
 
 
 def test_full_period_average_is_zero(table1):
-    mag = PiecewiseMagnetization(table1)
-    zero = mag.avg_m_x(np.array([0.1234]), np.array([0.1234 + table1.lam]))
+    m_x, m_y = magnetization_steps(table1)
+    zero = m_x.average(np.array([0.1234]), np.array([0.1234 + table1.lam]))
     assert abs(zero[0]) < 1e-9 * table1.M
-    zero_y = mag.avg_m_y(np.array([-0.02]), np.array([-0.02 + table1.lam]))
+    zero_y = m_y.average(np.array([-0.02]), np.array([-0.02 + table1.lam]))
     assert abs(zero_y[0]) < 1e-9 * table1.M
 
 

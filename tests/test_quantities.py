@@ -116,6 +116,19 @@ def test_thrust_against_field_quadrature(table1, coeffs):
     assert abs(quad - analytic) < 1e-3 * abs(analytic)
 
 
+@pytest.mark.parametrize("design", [MotorDesign(**TABLE1),
+                                    MotorDesign(**TABLE1, N_ph=5, back_iron=True)],
+                         ids=["table1", "5-phase-iron"])
+def test_thrust_quadrature_tracks_closed_form(design):
+    """With exact slot-cell averages the quadrature leaves only the smooth
+    B_y sampling error, far below the 1e-3 bound above."""
+    _, coeffs = _solved(design)
+    for t, x_0 in ((0.0, 0.03), (1.3e-3, 0.004), (7.7e-3, 0.031)):
+        analytic = float(thrust(design, coeffs, t, x_0).total[0])
+        quad = thrust_quadrature(design, coeffs, t, x_0)
+        assert abs(quad - analytic) < 1e-5 * abs(analytic), (t, x_0)
+
+
 def test_power_balance_is_machine_exact(table1, coeffs):
     bal = power_balance(table1, coeffs, x_0=0.004)
     assert bal.max_rel_dev < 1e-12
