@@ -14,7 +14,7 @@ from .config import (
     load_design,
 )
 from .errors import HalmotorError
-from .halbach import HarmonicSource, build_layout, fourier_coefficients
+from .halbach import HarmonicSource, fourier_coefficients
 from .laplace import (
     FieldCoefficients,
     FieldSample,
@@ -54,7 +54,6 @@ __all__ = [
     "load_design",
     "HalmotorError",
     "HarmonicSource",
-    "build_layout",
     "fourier_coefficients",
     "FieldCoefficients",
     "FieldSample",

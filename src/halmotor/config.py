@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     InvalidMagnetCount,
+    InvalidValue,
     MissingKey,
     NonPositiveLength,
     OffsetExceedsGap,
@@ -74,13 +76,15 @@ class MotorDesign:
         for name in ("J_max", "f"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
+                raise InvalidValue(
+                    name, f"{name} must be finite and non-negative, got {v!r}")
         for name in ("B_r", "sigma_cu", "rho_pm", "rho_cu"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+                raise InvalidValue(name, f"{name} must be finite and positive, got {v!r}")
         if not isinstance(self.N_turns, int) or self.N_turns < 1:
-            raise ValueError(f"N_turns must be an integer >= 1, got {self.N_turns!r}")
+            raise InvalidValue("N_turns",
+                               f"N_turns must be an integer >= 1, got {self.N_turns!r}")
 
     # derived, read-only
     @property
@@ -139,7 +143,8 @@ class HarmonicTruncation:
 
     def __post_init__(self):
         if not isinstance(self.n_max, int) or self.n_max < 1 or self.n_max % 2 == 0:
-            raise ValueError(f"n_max must be an odd integer >= 1, got {self.n_max!r}")
+            raise InvalidValue(
+                "n_max", f"n_max must be an odd integer >= 1, got {self.n_max!r}")
 
     @property
     def orders(self) -> np.ndarray:
@@ -213,7 +218,11 @@ def load_design(path) -> tuple[MotorDesign, HarmonicTruncation]:
             raise MissingKey(key)
 
     trunc = {"n_max": kwargs.pop("n_max")} if "n_max" in kwargs else {}
-    return MotorDesign(**kwargs), HarmonicTruncation(**trunc)
+    try:
+        return MotorDesign(**kwargs), HarmonicTruncation(**trunc)
+    except InvalidValue as exc:
+        key = next(k for k, (attr, _, _) in _CONFIG_KEYS.items() if attr == exc.name)
+        raise InvalidValue(exc.name, f"config key {key!r}: {exc}") from exc
 
 
 def slot_offsets(design: MotorDesign) -> np.ndarray:
@@ -230,21 +239,26 @@ def all_phase_currents(design: MotorDesign, t) -> np.ndarray:
 
 
 class PeriodicSteps:
-    """A periodic step profile and its exact interval averages.
+    """A periodic step profile, its exact interval averages and its exact
+    Fourier coefficients.
 
     The profile takes values[i] on [edges[i], edges[i + 1]), moved by
     `origin` and repeated with period edges[-1] - edges[0].  Its running
     integral is piecewise linear, so the integral up to any x is a count of
     whole periods plus one interpolated lookup within a period, and interval
     averages stay exact however many periods or steps an interval spans.
+    Each step integrates against e^{-i w x} in closed form, so the Fourier
+    coefficients are finite sums over the steps.
     """
 
     def __init__(self, edges, values, origin: float = 0.0):
         self.edges = np.asarray(edges, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.origin = float(origin)
-        self._running = np.concatenate(
-            [[0.0], np.cumsum(self.values * np.diff(self.edges))])
+
+    @cached_property
+    def _running(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.values * np.diff(self.edges))])
 
     def integral(self, x) -> np.ndarray:
         """Integral of the profile from origin + edges[0] up to x."""
@@ -257,6 +271,21 @@ class PeriodicSteps:
     def average(self, lo, hi) -> np.ndarray:
         """Exact mean of the profile over each interval [lo, hi)."""
         return (self.integral(hi) - self.integral(lo)) / (hi - lo)
+
+    def fourier(self, n) -> np.ndarray:
+        """Exact (2/P) * integral of f(x) e^{-2 pi i n x / P} over one period
+        P, for each nonzero integer order n.
+
+        Summed by parts: f jumps by values[i] - values[i - 1] at edges[i],
+        and an integer order makes the two ends of the period cancel, so the
+        coefficient is sum(jump e^{-i phase}) / (i pi n).
+        """
+        n = np.asarray(n)
+        jumps = self.values - self.values[np.arange(-1, self.values.size - 1)]
+        phase = np.multiply.outer(n, (self.edges[:-1] + self.origin)
+                                  * (2 * np.pi / (self.edges[-1] - self.edges[0])))
+        # real sines and cosines are cheaper than a complex exponential
+        return -(np.sin(phase) @ jumps + 1j * (np.cos(phase) @ jumps)) / (np.pi * n)
 
 
 def slot_current_profile(design: MotorDesign, t: float,

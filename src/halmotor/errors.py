@@ -21,28 +21,35 @@ class UnknownKey(ConfigError):
         self.key = key
 
 
-class NonPositiveLength(ConfigError):
-    def __init__(self, name: str, value: float):
-        super().__init__(f"{name} must be positive, got {value!r}")
+class InvalidValue(ConfigError, ValueError):
+    """A design value failed validation; `name` is the attribute it sets."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
         self.name = name
+
+
+class NonPositiveLength(InvalidValue):
+    def __init__(self, name: str, value: float):
+        super().__init__(name, f"{name} must be positive, got {value!r}")
         self.value = value
 
 
-class UnsupportedPhaseCount(ConfigError):
+class UnsupportedPhaseCount(InvalidValue):
     def __init__(self, n_ph: int):
-        super().__init__(f"phase count must be 3 or 5, got {n_ph}")
+        super().__init__("N_ph", f"phase count must be 3 or 5, got {n_ph}")
         self.n_ph = n_ph
 
 
-class InvalidMagnetCount(ConfigError):
+class InvalidMagnetCount(InvalidValue):
     def __init__(self, n_m: int):
-        super().__init__(f"magnets per pole must be an integer >= 2, got {n_m!r}")
+        super().__init__("N_m", f"magnets per pole must be an integer >= 2, got {n_m!r}")
         self.n_m = n_m
 
 
-class OffsetExceedsGap(ConfigError):
+class OffsetExceedsGap(InvalidValue):
     def __init__(self, g_0: float, g: float):
-        super().__init__(f"gap offset {g_0} must satisfy 0 <= g_0 < g = {g}")
+        super().__init__("g_0", f"gap offset {g_0} must satisfy 0 <= g_0 < g = {g}")
         self.g_0 = g_0
         self.g = g
 

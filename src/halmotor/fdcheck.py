@@ -121,25 +121,26 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
     rhs = ((mx_face - np.roll(mx_face, 1, axis=0))[:, 1:ny] / dx
            + (my_face[:, 1:] - my_face[:, :-1]) / dy)
 
-    r_hat = np.fft.rfft(rhs, axis=0)
+    # Thomas sweep over the ny - 1 interior rows, one x mode per column
+    r_hat = np.fft.rfft(rhs.T, axis=1)
     m = np.arange(nx // 2 + 1)
     diag = -2 / dy ** 2 - (2 - 2 * np.cos(2 * np.pi * m / nx)) / dx ** 2
     off = 1 / dy ** 2
     nj = ny - 1
-    cp = np.zeros((len(m), nj))
-    dp = np.zeros((len(m), nj), dtype=complex)
-    cp[:, 0] = off / diag
-    dp[:, 0] = r_hat[:, 0] / diag
+    cp = np.zeros((nj, len(m)))
+    dp = np.zeros((nj, len(m)), dtype=complex)
+    cp[0] = off / diag
+    dp[0] = r_hat[0] / diag
     for j in range(1, nj):
-        denom = diag - off * cp[:, j - 1]
-        cp[:, j] = off / denom
-        dp[:, j] = (r_hat[:, j] - off * dp[:, j - 1]) / denom
-    psi_hat = np.zeros((len(m), nj), dtype=complex)
-    psi_hat[:, -1] = dp[:, -1]
+        denom = diag - off * cp[j - 1]
+        cp[j] = off / denom
+        dp[j] = (r_hat[j] - off * dp[j - 1]) / denom
+    psi_hat = np.zeros((nj, len(m)), dtype=complex)
+    psi_hat[-1] = dp[-1]
     for j in range(nj - 2, -1, -1):
-        psi_hat[:, j] = dp[:, j] - cp[:, j] * psi_hat[:, j + 1]
+        psi_hat[j] = dp[j] - cp[j] * psi_hat[j + 1]
     psi = np.zeros((nx, ny + 1))
-    psi[:, 1:ny] = np.fft.irfft(psi_hat, n=nx, axis=0)
+    psi[:, 1:ny] = np.fft.irfft(psi_hat, n=nx, axis=1).T
 
     lap = ((np.roll(psi, -1, 0) - 2 * psi + np.roll(psi, 1, 0))[:, 1:ny] / dx ** 2
            + (psi[:, 2:] - 2 * psi[:, 1:ny] + psi[:, :-2]) / dy ** 2)

@@ -13,48 +13,18 @@ and a charge sheet sigma_m(x) = -mu_0 M_y(x) for the vertical one.  Both are
 odd-periodic with period lam and expand in odd harmonics only:
 
     K_m = sum k_n cos(n k x),   sigma_m = sum sigma_n sin(n k x).
+
+The block rule is written once, in `magnetization_steps`, as two exact step
+profiles over one period.  The harmonics are the exact step Fourier sums of
+those profiles, and the finite-difference check deposits the same steps.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MU0, HarmonicTruncation, MotorDesign, PeriodicSteps
-
-
-@dataclass(frozen=True)
-class HalbachLayout:
-    """Block decomposition of one full period (2 N_m blocks).
-
-    `indices[p]` is the rotation index i of block p and `spans[p]` its
-    (theta_left, theta_right) extent.  Block spans tile [0, 2 pi) exactly;
-    for even N_m the block centred at theta = 0 appears wrapped as the final
-    span reaching 2 pi.
-    """
-
-    N_m: int
-    indices: tuple[int, ...]
-    spans: tuple[tuple[float, float], ...]
-
-
-def build_layout(design: MotorDesign) -> HalbachLayout:
-    N_m = design.N_m
-    dth = math.pi / N_m
-    # block i spans theta in [pi/2 + (i - 1/2) dth, pi/2 + (i + 1/2) dth)
-    i_lo = math.floor((0.0 - math.pi / 2) / dth + 0.5)
-    i_hi = math.floor((2 * math.pi - math.pi / 2) / dth + 0.5)
-    idx, spans = [], []
-    for i in range(i_lo, i_hi + 1):
-        tl = math.pi / 2 + (i - 0.5) * dth
-        tr = math.pi / 2 + (i + 0.5) * dth
-        a, b = max(tl, 0.0), min(tr, 2 * math.pi)
-        if b <= a:
-            continue
-        idx.append(i)
-        spans.append((a, b))
-    return HalbachLayout(N_m, tuple(idx), tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -85,29 +55,16 @@ class HarmonicSource:
 
 def fourier_coefficients(design: MotorDesign,
                          trunc: HarmonicTruncation) -> HarmonicSource:
-    """Closed-form k_n and sigma_n for all retained odd harmonics.
+    """k_n and sigma_n for all retained odd harmonics.
 
-    Interior blocks contribute the generic rotated-segment term; for even
-    N_m the two horizontally magnetized half blocks at the pole edges add a
-    separate term to k_n only (their vertical component vanishes).
+    They are exact step sums over `magnetization_steps`.  M_x is even in x
+    and M_y odd, so the coefficients of M_x are real and those of M_y
+    imaginary, and one sum over the profile M_x + M_y yields both.
     """
-    M = design.M
-    N_m = design.N_m
-    dth = design.dtheta
-    ns = trunc.orders.astype(float)
-    if N_m % 2 == 1:
-        iis = np.arange(-(N_m - 1) // 2, (N_m - 1) // 2 + 1)
-        edge = np.zeros_like(ns)
-    else:
-        iis = np.arange(-N_m // 2 + 1, N_m // 2)
-        edge = (4 / (ns * np.pi)) * M * np.sin(ns * np.pi / (2 * N_m))
-    N, I = np.meshgrid(ns, iis, indexing="ij")
-    common = (-4 / (N * np.pi)) * M * np.sin(N * dth / 2)
-    k_n = edge + (common * np.cos(np.pi / 2 - I * dth)
-                  * np.cos(N * (np.pi / 2 + I * dth))).sum(axis=1)
-    sigma_n = MU0 * (common * np.sin(np.pi / 2 - I * dth)
-                     * np.sin(N * (np.pi / 2 + I * dth))).sum(axis=1)
-    return HarmonicSource(trunc.orders.copy(), k_n, sigma_n)
+    ns = trunc.orders
+    m_x, m_y = magnetization_steps(design)
+    c = PeriodicSteps(m_x.edges, m_x.values + m_y.values).fourier(ns)
+    return HarmonicSource(ns, -c.real, MU0 * c.imag)
 
 
 def _block_index(theta: np.ndarray, N_m: int) -> np.ndarray:
@@ -138,13 +95,14 @@ def reconstruct_profiles(source: HarmonicSource, k: float,
 
 
 def magnetization_steps(design: MotorDesign) -> tuple[PeriodicSteps, PeriodicSteps]:
-    """M_x and M_y as exact step profiles over one period, block by block.
+    """M_x and M_y over one period as exact step profiles, block by block.
 
-    Used by the finite-difference check, where exactly averaged sources
-    keep the sheet dipole moments on the grid.
+    Block i spans theta in [pi/2 + (i - 1/2) dtheta, pi/2 + (i + 1/2) dtheta)
+    and is magnetized along (sin, cos)(i dtheta).  The period is taken as
+    blocks i = -N_m..N_m - 1, so |theta| < 3 pi / 2: the rounding of the
+    phases n theta in the Fourier sums grows with |theta|.
     """
-    lay = build_layout(design)
-    edges = np.array([0.0] + [b for _, b in lay.spans]) / design.k
-    rot = np.array(lay.indices) * design.dtheta
-    return (PeriodicSteps(edges, design.M * np.sin(rot)),
-            PeriodicSteps(edges, design.M * np.cos(rot)))
+    rot = np.arange(-design.N_m, design.N_m + 1) * design.dtheta
+    edges = (np.pi / 2 - design.dtheta / 2 + rot) / design.k
+    return (PeriodicSteps(edges, design.M * np.sin(rot[:-1])),
+            PeriodicSteps(edges, design.M * np.cos(rot[:-1])))

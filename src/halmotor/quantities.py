@@ -242,10 +242,10 @@ def misalignment_force(design: MotorDesign,
     g0 = design.g_0 if g_0 is None else float(g_0)
     if not 0 <= g0 < design.g:
         raise OffsetExceedsGap(g0, design.g)
-    trunc = trunc or HarmonicTruncation()
+    # the source does not depend on the gap
+    src = fourier_coefficients(design, trunc or HarmonicTruncation())
 
     def per_side(d: MotorDesign) -> float:
-        src = fourier_coefficients(d, trunc)
         return attraction_force(d, solve_coefficients(d, src))
 
     nominal = per_side(design.with_gap(design.g))

@@ -60,7 +60,7 @@ def test_criterion_01_source_quadrature(capsys):
                 else:
                     ok = ok and abs(closed) < 1e-9 * scale
     _report(capsys, 1, ok, time.perf_counter() - start, 1.0,
-            f"closed-form vs adaptive quadrature, N_m 2..5, odd n <= 19: "
+            f"step sums vs adaptive quadrature, N_m 2..5, odd n <= 19: "
             f"worst rel {worst:.2e} (tol 1e-10)")
 
 

@@ -15,6 +15,7 @@ from halmotor.config import (
     slot_offsets,
 )
 from halmotor.errors import (
+    ConfigError,
     InvalidMagnetCount,
     MissingKey,
     NonPositiveLength,
@@ -108,6 +109,24 @@ def test_load_design_rejects_bad_lines(tmp_path, extra, exc):
             load_design(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_max_harmonic", "4"),
+    ("sigma_cu_S_m", "0"),
+    ("gap_m", "-1"),
+    ("n_phases", "4"),
+    ("n_magnets_per_pole", "1"),
+    ("gap_offset_m", "0.001"),
+])
+def test_load_design_names_the_rejected_key(tmp_path, key, value):
+    path = tmp_path / "d.cfg"
+    lines = [line for line in CONFIG_TEXT.splitlines()
+             if not line.startswith(key)]
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(ValueError, match=f"^config key '{key}': ") as info:
+        load_design(path)
+    assert isinstance(info.value, ConfigError)
+
+
 def test_load_design_missing_key(tmp_path):
     path = tmp_path / "d.cfg"
     path.write_text(CONFIG_TEXT.replace("remanence_T        = 1.1\n", ""))
@@ -183,6 +202,20 @@ def test_periodic_steps_match_brute_force_average():
     full = steps.average(np.array([0.77]), np.array([0.77 + period]))
     mean = (steps.values * np.diff(steps.edges)).sum() / period
     assert full[0] == pytest.approx(mean, rel=1e-13)
+
+
+def test_periodic_steps_fourier_matches_midpoint_sampling():
+    rng = np.random.default_rng(7)
+    edges = np.sort(rng.uniform(-0.7, 1.6, 6))          # 5 steps, not from 0
+    steps = PeriodicSteps(edges, rng.normal(size=5), origin=0.37)
+    period = edges[-1] - edges[0]
+    n = np.array([-3, 1, 2, 5, 6, 9, 13])                 # orders above 5 steps
+    m = 100000
+    x = steps.origin + edges[0] + (np.arange(m) + 0.5) * period / m
+    f = steps.values[np.searchsorted(edges, x - steps.origin, side="right") - 1]
+    want = 2 / m * np.exp(np.multiply.outer(-2j * np.pi * n / period, x)) @ f
+    np.testing.assert_allclose(steps.fourier(n), want, rtol=0, atol=1e-4)
+    assert steps.fourier(5) == steps.fourier(n)[3]
 
 
 @pytest.mark.parametrize("n_ph", [3, 5])

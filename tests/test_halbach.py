@@ -1,4 +1,4 @@
-"""Source-model tests: closed-form harmonics against adaptive quadrature."""
+"""Source-model tests: step-sum harmonics against adaptive quadrature."""
 
 import dataclasses
 import math
@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from halmotor.config import MU0, HarmonicTruncation
 from halmotor.halbach import (
-    build_layout,
     fourier_coefficients,
     magnetization_profiles,
     magnetization_steps,
@@ -38,8 +37,10 @@ ZERO_ORDERS = {
 def _quad_coefficient(design, n, profile_index):
     """Projection of the exact piecewise profile onto its n-th harmonic."""
     lam = design.lam
-    breaks = sorted({s / design.k for span in build_layout(design).spans
-                     for s in span})
+    # each block boundary once, wrapped into [0, lam); quad warns on a break
+    # at an end of the window
+    wrapped = magnetization_steps(design)[0].edges[:-1] % lam
+    breaks = np.sort(wrapped[(wrapped > 0) & (wrapped < lam)])
     weight = (lambda x: math.cos(n * design.k * x)) if profile_index == 0 \
         else (lambda x: math.sin(n * design.k * x))
 
@@ -96,20 +97,29 @@ def test_magnetization_harmonics_signs(source):
 
 def test_layout_tiles_period():
     for n_m in (2, 3, 4, 5):
-        lay = build_layout(make_case(n_m, False))
-        spans = np.array(lay.spans)
-        assert spans[0, 0] == 0.0
-        assert spans[-1, 1] == pytest.approx(2 * math.pi, rel=1e-15)
-        np.testing.assert_allclose(spans[1:, 0], spans[:-1, 1], rtol=1e-14)
+        design = make_case(n_m, False)
+        rot = np.arange(-n_m, n_m) * design.dtheta
+        m_x, m_y = magnetization_steps(design)
+        np.testing.assert_array_equal(m_x.edges, m_y.edges)
+        edges = m_x.edges
+        assert edges.shape == (2 * n_m + 1,)
+        assert edges[-1] - edges[0] == pytest.approx(design.lam, rel=1e-15)
+        np.testing.assert_allclose(np.diff(edges), design.w_m, rtol=1e-13)
+        # block i is centred at theta = pi/2 + i dtheta
+        np.testing.assert_allclose(design.k * (edges[:-1] + edges[1:]) / 2,
+                                   math.pi / 2 + rot, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(m_x.values, design.M * np.sin(rot))
+        np.testing.assert_array_equal(m_y.values, design.M * np.cos(rot))
 
 
 def test_reconstruction_converges_away_from_edges(table1):
     src = fourier_coefficients(table1, HarmonicTruncation(999))
-    lay = build_layout(table1)
-    edges = np.array([s for span in lay.spans for s in span]) / table1.k
-    x = np.linspace(0, table1.lam, 400, endpoint=False)
+    lam = table1.lam
+    edges = magnetization_steps(table1)[0].edges
+    x = np.linspace(0, lam, 400, endpoint=False)
     # keep clear of the block boundaries where Gibbs overshoot lives
-    far = np.abs(x[:, None] - edges[None, :]).min(axis=1) > table1.lam / 50
+    gap = np.abs((x[:, None] - edges[None, :] + lam / 2) % lam - lam / 2)
+    far = gap.min(axis=1) > lam / 50
     k_exact, s_exact = source_profiles(table1, x)
     k_rec, s_rec = reconstruct_profiles(src, table1.k, x)
     assert np.abs(k_rec - k_exact)[far].max() < 2e-2 * table1.M
@@ -140,9 +150,9 @@ def test_full_period_average_is_zero(table1):
 
 
 def test_even_odd_segment_counts_differ_in_edge_term():
-    # even N_m has horizontally magnetized edge half-blocks: k_n picks up a
-    # term that the odd layouts lack, so N_m=2 deviates from the pure
-    # rotation formula while N_m=3 does not
+    # even N_m has horizontally magnetized blocks centred on the pole
+    # edges, which keep the n=3 current sheet for N_m=2; the N_m=3 rotation
+    # pattern suppresses it
     d2, d3 = make_case(2, False), make_case(3, False)
     s2 = fourier_coefficients(d2, HarmonicTruncation(3))
     s3 = fourier_coefficients(d3, HarmonicTruncation(3))
