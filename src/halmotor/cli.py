@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__, fdcheck, laplace, poisson, quantities, studio, verify
 from .config import HarmonicTruncation, MotorDesign, load_design
-from .errors import HalmotorError, NoConvergence, SingularSystem
+from .errors import HalmotorError, InvalidValue, NoConvergence, SingularSystem
 from .halbach import fourier_coefficients
 
 _MODELS = {
@@ -117,6 +117,14 @@ def _count_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _n_max(text: str) -> int:
+    """argparse type for a harmonic cutoff, checked by HarmonicTruncation."""
+    try:
+        return HarmonicTruncation(int(text)).n_max
+    except ValueError as exc:  # InvalidValue is a ValueError too
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _grid_spec(text: str) -> tuple[int, int]:
@@ -238,6 +246,8 @@ def cmd_emf(args: argparse.Namespace, design: MotorDesign,
 def cmd_normal(args: argparse.Namespace, design: MotorDesign,
                trunc: HarmonicTruncation) -> Outcome:
     g0_max = design.g_0 if args.g0 is None else args.g0
+    if not 0 <= g0_max < design.g:
+        raise InvalidValue("g_0", f"--g0 {g0_max!r} must satisfy 0 <= g_0 < g = {design.g}")
     offsets = np.linspace(0.0, g0_max, 13) if g0_max > 0 else np.array([0.0])
     rows = []
     for g0 in offsets:
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="design config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--nmax", type=int, default=None,
+        p.add_argument("--nmax", type=_n_max, default=None,
                        help="override the config's harmonic truncation")
         p.set_defaults(func=func)
         return p

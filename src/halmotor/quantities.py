@@ -4,7 +4,8 @@ Everything here consumes the region-I amplitudes A1 of a solved harmonic
 set.  The slot layout and the phase currents come from `config`
 (`slot_offsets`, `all_phase_currents`, `slot_current_profile`); the
 array is displaced by u t + x_0.  Forces are per stator unit cell (one
-wavelength, both airgaps) at depth L.
+wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, flux
+linkage, EMF and EMF THD all come from one slot-window table, `_lines`.
 """
 from __future__ import annotations
 
@@ -61,45 +62,39 @@ class PowerBalance:
     max_rel_dev: float
 
 
-def _amplitudes(design: MotorDesign, coeffs: FieldCoefficients):
-    """Orders, wavenumbers and A1 sinh(nk h_c) from the stored x1.
+def _lines(design: MotorDesign, coeffs: FieldCoefficients):
+    """Wavenumbers nk and the (N_ph, H) slot-window line table.
 
-    With A1 = x1 e^{-nk g_e} the product is formed as
-    x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2 so it cannot overflow.
+    Entry (m, n) is A1 sinh(nk h_c) / nk (e^{-i l} - e^{-i r}), l and r the
+    angles n k x of go side m's edges (a slot spans pi / N_ph of the
+    fundamental).  Summed with e^{i nk s} at array shift s, the real part
+    is the integral of B_y over the go side and, with each line over nk,
+    the imaginary part that of A_z, both times -1 / (2 mu0).  A1 sinh is
+    x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2, so it cannot overflow.
     """
-    ns = coeffs.n.astype(float)
-    nk = ns * design.k
+    nk = coeffs.n * design.k
     A1_sinh = 0.5 * coeffs.x1 * (np.exp(nk * (design.h_c - design.g_e))
                                  - np.exp(-nk * (design.h_c + design.g_e)))
-    return ns, nk, A1_sinh
+    slot = coeffs.n * (np.pi / design.N_ph)
+    left = np.multiply.outer(slot_offsets(design), slot)
+    return nk, A1_sinh / nk * (np.exp(-1j * left) - np.exp(-1j * (left + slot)))
 
 
-def _edge_phases(design: MotorDesign, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-edge angles n k x for the left and right edge of every go side.
-
-    Shapes (N_ph, H).  A slot width is pi / N_ph of the fundamental's
-    phase, so the harmonics just multiply by n.
-    """
-    off = slot_offsets(design)[:, None]
-    return (ns[None, :] * off * np.pi / design.N_ph,
-            ns[None, :] * (off + 1) * np.pi / design.N_ph)
-
-
-def _window_sums(design: MotorDesign, ns: np.ndarray, nk: np.ndarray,
-                 amp: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-window sums per phase m and array shift s.
-
-    Returns sum_h amp_h [f(l_mh - nk_h s) - f(r_mh - nk_h s)] for f = cos
-    and f = sin, with l, r the slot-edge angles.  The angle-difference
-    identities leave cos and sin to take of (H, S) arrays only, not of
-    (N_ph, H, S) ones.  amp is (H,) or (K, H); the sums are (..., N_ph, S).
-    """
-    left, right = _edge_phases(design, ns)
-    dc = amp[..., None, :] * (np.cos(left) - np.cos(right))
-    ds = amp[..., None, :] * (np.sin(left) - np.sin(right))
+def _at_shifts(nk: np.ndarray, lines: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """sum_n lines[..., n] e^{i nk_n s} per shift s, shape (..., S); only the
+    real (H, S) phases go through cos and sin, which beats a complex exp."""
     motion = np.outer(nk, shifts)
-    cm, sm = np.cos(motion), np.sin(motion)
-    return dc @ cm + ds @ sm, ds @ cm - dc @ sm
+    c, s = np.cos(motion), np.sin(motion)
+    return (lines.real @ c - lines.imag @ s) + 1j * (lines.imag @ c + lines.real @ s)
+
+
+def _phase_thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
+                  shifts: np.ndarray) -> np.ndarray:
+    """Thrust of every go side's phase, (N_ph, S), with the currents at
+    time(s) t and the array at the given shifts."""
+    nk, lines = _lines(design, coeffs)
+    return (-8 * MU0 * design.L * all_phase_currents(design, t)
+            * _at_shifts(nk, lines, shifts).real)
 
 
 def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
@@ -111,16 +106,14 @@ def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
 
 def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
            x_0: float = 0.0) -> ForceResult:
-    """Per-phase thrust on the array from the closed-form slot integrals.
+    """Per-phase thrust: the current times the real part of the phase's
+    slot-window lines at the array shift u t + x_0.
 
     t may be a scalar or an array; ripple_pct is the peak-to-peak total
     force over the grid relative to its mean.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, A1_sinh = _amplitudes(design, coeffs)
-    amp = -8 * MU0 * design.L / nk * A1_sinh
-    window, _ = _window_sums(design, ns, nk, amp, design.u * ts + x_0)
-    per_phase = all_phase_currents(design, ts) * window
+    per_phase = _phase_thrust(design, coeffs, ts, design.u * ts + x_0)
     total = per_phase.sum(axis=0)
     mean = float(total.mean())
     ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / mean
@@ -157,11 +150,7 @@ def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
                       n_scan: int = 360) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t = 0 versus array shift x_0 over one wavelength."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    ns, nk, A1_sinh = _amplitudes(design, coeffs)
-    amp = -8 * MU0 * design.L / nk * A1_sinh
-    window, _ = _window_sums(design, ns, nk, amp, x0s)
-    totals = (all_phase_currents(design, 0.0) * window).sum(axis=0)
-    return x0s, totals
+    return x0s, _phase_thrust(design, coeffs, 0.0, x0s).sum(axis=0)
 
 
 def optimal_shift(design: MotorDesign, coeffs: FieldCoefficients,
@@ -176,20 +165,17 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
              x_0: float = 0.0) -> EmfResult:
     """Flux linkage and EMF per phase for N_turns-turn uniform coils.
 
-    The linkage averages the vector potential over the slot area; with the
-    slot integrals done analytically that leaves one sinh term per
-    harmonic.  EMF is its exact time derivative.
+    The linkage averages the vector potential over the slot area, which
+    is the imaginary part of the slot-window lines divided by nk at the
+    array shift u t + x_0.  EMF is its exact time derivative, the real part
+    of u times the lines; both share one scale.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ns, nk, A1_sinh = _amplitudes(design, coeffs)
+    nk, lines = _lines(design, coeffs)
     ws = design.slot_width
-    amp_lam = (-8 * MU0 * design.L * design.N_turns * A1_sinh
-               / (nk ** 2 * design.h_c * ws))
-    amp_emf = (-8 * MU0 * design.L * design.u * design.N_turns * A1_sinh
-               / (nk * design.h_c * ws))
-    cos_w, sin_w = _window_sums(design, ns, nk, np.stack([amp_emf, amp_lam]),
-                                design.u * ts + x_0)
-    emf, linkage = cos_w[0], -sin_w[1]
+    scale = -8 * MU0 * design.L * design.N_turns / (design.h_c * ws)
+    at = _at_shifts(nk, np.stack([lines / nk, design.u * lines]), design.u * ts + x_0)
+    linkage, emf = scale * at[0].imag, scale * at[1].real
     current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
     return EmfResult(ts, linkage, emf, current)
 
@@ -207,18 +193,17 @@ def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
 
 
 def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:
-    """Per-phase EMF total harmonic distortion, from the line amplitudes.
+    """Per-phase EMF total harmonic distortion, from the line magnitudes.
 
-    Array harmonic n drives EMF line n of every phase, with amplitude
-    proportional to |A1 sinh(nk h_c) / nk * sin(n pi / 2 N_ph)|: the slot
-    window of a phase spans n pi / N_ph of harmonic n's phase, and the
-    array shift and phase offsets move only the line's phase.  So the THD
-    is the same for every phase and exact, with no sampled period to alias.
+    Array harmonic n drives EMF line n of phase m with an amplitude
+    proportional to |line (m, n)| of the slot-window table; the array
+    shift moves only the line's phase.  So the THD is exact, with no
+    sampled period to alias.
     """
-    ns, nk, A1_sinh = _amplitudes(design, coeffs)
-    lines = np.abs(A1_sinh / nk * np.sin(ns * np.pi / (2 * design.N_ph)))
-    fund, rest = lines[0], np.sqrt((lines[1:] ** 2).sum())  # ns[0] == 1
-    return np.full(design.N_ph, rest / fund if fund > 0 else 0.0)
+    _, lines = _lines(design, coeffs)
+    mag = np.abs(lines)
+    fund, rest = mag[:, 0], np.sqrt((mag[:, 1:] ** 2).sum(axis=1))  # n[0] == 1
+    return np.divide(rest, fund, out=np.zeros_like(rest), where=fund > 0)
 
 
 def attraction_force(design: MotorDesign, coeffs: FieldCoefficients) -> float:

@@ -157,6 +157,21 @@ def test_normal_offset_sweep(config_path, tmp_path):
     assert all(a < b for a, b in zip(nets, nets[1:]))
 
 
+@pytest.mark.parametrize("g0", ["-1e-4", "0.001", "0.0005"])
+def test_normal_offset_outside_gap_is_usage_error(config_path, tmp_path, capsys,
+                                                  monkeypatch, g0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an offset before checking --g0")
+
+    monkeypatch.setattr(quantities, "misalignment_force", no_solve)
+    out = tmp_path / "normal"
+    assert cli.main(["normal", "--config", str(config_path), "--out", str(out),
+                     f"--g0={g0}"]) == 2
+    err = capsys.readouterr().err
+    assert f"--g0 {float(g0)!r} must satisfy" in err
+    assert not out.exists()
+
+
 def test_verify_skip_fd(config_path, tmp_path, capsys):
     out = tmp_path / "verify"
     rc = cli.main(["verify", "--config", str(config_path), "--out", str(out),
@@ -385,6 +400,18 @@ def test_bad_count_is_usage_error(config_path, tmp_path, capsys, argv):
         cli.main([*argv, "--config", str(config_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_max", ["4", "-3", "0"])
+def test_bad_nmax_is_usage_error(config_path, tmp_path, capsys, n_max):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["force", "--config", str(config_path), "--out", str(out),
+                  "--nmax", n_max])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --nmax: n_max must be an odd integer >= 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,10 +9,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from halmotor.config import MU0, HarmonicTruncation, MotorDesign
+from halmotor.config import MU0, HarmonicTruncation, MotorDesign, slot_offsets
 from halmotor.errors import OffsetExceedsGap, ZeroVelocity
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import airgap_B_y, solve_coefficients
+from halmotor.poisson import evaluate_fields_vector, solve_vector
 from halmotor.quantities import (attraction_force, back_emf, emf_thd,
                                  force_angle_sweep, misalignment_force,
                                  optimal_shift, power_balance, thrust,
@@ -151,6 +152,34 @@ def test_emf_is_flux_linkage_derivative(table1, coeffs):
     numeric = (hi - lo) / (2 * dt)
     scale = np.abs(e.emf).max()
     assert np.abs(numeric - e.emf).max() < 1e-4 * scale
+
+
+@pytest.mark.parametrize("design", [MotorDesign(**TABLE1),
+                                    MotorDesign(**TABLE1, N_ph=5, back_iron=True)],
+                         ids=["table1", "5-phase-iron"])
+def test_flux_linkage_against_vector_potential_quadrature(design):
+    """Independent route: lambda_m = 4 N_turns L / (h_c w_s) times the
+    integral of A_z(x - s, y) over go side m, with A_z from the separately
+    solved vector-potential coefficients; midpoints in x, Gauss-Legendre
+    nodes in y."""
+    src, coeffs = _solved(design)
+    vector = solve_vector(design, src)
+    ws, nx = design.slot_width, 4096
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    ys, wy = (nodes + 1) * design.h_c / 2, weights * design.h_c / 2
+    points = ((0.0, 0.03), (1.3e-3, 0.004), (7.7e-3, 0.031))
+    closed = np.stack([back_emf(design, coeffs, t, x_0).flux_linkage[:, 0]
+                       for t, x_0 in points])
+    quad = np.empty_like(closed)
+    for i, (t, x_0) in enumerate(points):
+        shift = design.u * t + x_0
+        for m, left in enumerate(slot_offsets(design) * ws):
+            xs = (left + (np.arange(nx) + 0.5) * ws / nx - shift)[:, None]
+            columns = [evaluate_fields_vector(design, src, vector, xs, y, "I").A_z.sum()
+                       for y in ys]
+            integral = float(np.dot(wy, columns)) * ws / nx
+            quad[i, m] = 4 * design.N_turns * design.L / (design.h_c * ws) * integral
+    assert np.abs(quad - closed).max() < 1e-7 * np.abs(closed).max()
 
 
 def test_emf_peak_frozen(table1, coeffs):
