@@ -31,7 +31,8 @@ Defaults (used when a flag is not given):
                     --moving moving-PM  --nsu <units + 1>
     objective       --alpha 1.0  --beta 0.2  --w-thd/--w-ripple/--w-cost 0.0
 
-Exit codes: 0 success, 1 physics-check failure, 2 usage or config error.
+Exit codes: 0 success, 1 physics-check failure (including a floating-point
+division by zero, overflow or invalid operation), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -62,48 +64,35 @@ _MAX_GRID_POINTS = 1 << 20
 
 class Outcome(NamedTuple):
     """What a command produced.  `files` maps each output name, in write
-    order, to a (header, rows) pair for a ``.csv`` name or to the payload of
-    a ``.json`` name; `summary` is printed to stdout."""
+    order, to the payload of a ``.json`` name or to the table of a ``.csv``
+    name: a dict from column name to column, a float array or a list of
+    str, with the keys in header order.  `summary` is printed to stdout."""
 
     files: dict
     summary: str
     code: int = 0
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if value is None:
-        return "nan"
-    return format(float(value), ".17g")
+def _cells(column):
+    """A column's cells: a str list as it is, floats lazily as "%.17g"."""
+    if isinstance(column, list):
+        return column
+    return map(format, np.asarray(column, dtype=float), itertools.repeat(".17g"))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, table: dict) -> None:
+    """Write a name -> column table as a header line and streamed rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(list(table))
+        writer.writerows(zip(*map(_cells, table.values())))
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=lambda v: v.tolist())
         fh.write("\n")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _count_at_least(low: int):
@@ -164,13 +153,7 @@ def _key_numbers(text: str, form: str) -> tuple[str, list[str]]:
 
 def _axis_spec(text: str) -> tuple[str, np.ndarray]:
     key, (lo, hi, n) = _key_numbers(text, "KEY=LO:HI:N")
-    try:
-        n = int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad axis numbers in {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("axis needs at least one point")
-    return key, np.linspace(_finite_float(lo), _finite_float(hi), n)
+    return key, np.linspace(_finite_float(lo), _finite_float(hi), _count_at_least(1)(n))
 
 
 def _bounds_spec(text: str) -> tuple[str, tuple[float, float]]:
@@ -191,6 +174,20 @@ def _objective(args: argparse.Namespace) -> studio.ObjectiveConfig:
                                   cost_drive=args.cost_drive)
 
 
+def _phases(prefix: str, rows) -> dict:
+    """Name the rows of a per-phase array prefix1, prefix2, ..."""
+    return {f"{prefix}{m}": row for m, row in enumerate(rows, 1)}
+
+
+def _by_key(flag: str, pairs: list[tuple]) -> dict:
+    """KEY -> value of a repeatable KEY=... flag, refusing a repeated KEY."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise InvalidValue(key, f"{flag} {key} is given more than once")
+    return dict(pairs)
+
+
 def cmd_fields(args: argparse.Namespace, design: MotorDesign,
                trunc: HarmonicTruncation) -> Outcome:
     solver, evaluator = _MODELS[args.model]
@@ -201,9 +198,9 @@ def cmd_fields(args: argparse.Namespace, design: MotorDesign,
     y_max = design.g_e + design.h_m if args.ymax is None else args.ymax
     ys = np.linspace(0.0, y_max, ny)
     samples = laplace.field_map(design, src, coeffs, xs, ys, evaluator)
-    table = (["x", "y", "region", "B_x", "B_y", "H_x", "H_y", "psi", "A_z"],
-             ([s.x, s.y, s.region, s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z]
-              for s in samples))
+    table = {name: [s.region for s in samples] if name == "region"
+             else np.array([getattr(s, name) for s in samples], dtype=float)
+             for name in ("x", "y", "region", "B_x", "B_y", "H_x", "H_y", "psi", "A_z")}
     return Outcome({"fields.csv": table},
                    f"fields: {nx}x{ny} {args.model} map -> {args.out}/fields.csv")
 
@@ -214,13 +211,11 @@ def cmd_force(args: argparse.Namespace, design: MotorDesign,
     x0s, totals = quantities.force_angle_sweep(design, coeffs, args.nscan)
     x_0 = float(x0s[np.argmax(totals)]) if args.x0 is None else args.x0
     force = quantities.thrust_time_series(design, coeffs, x_0, args.nt)
-    header = (["t"] + [f"f_phase_{m}" for m in range(1, design.N_ph + 1)]
-              + ["f_total", "f_mean", "ripple_pct"])
-    rows = ([force.t[i]] + list(force.per_phase[:, i])
-            + [force.total[i], force.mean, force.ripple_pct]
-            for i in range(len(force.t)))
-    return Outcome({"force_angle.csv": (["x_0", "f_total"], zip(x0s, totals)),
-                    "force_profile.csv": (header, rows)},
+    profile = ({"t": force.t} | _phases("f_phase_", force.per_phase)
+               | {"f_total": force.total, "f_mean": np.full_like(force.t, force.mean),
+                  "ripple_pct": np.full_like(force.t, force.ripple_pct)})
+    return Outcome({"force_angle.csv": {"x_0": x0s, "f_total": totals},
+                    "force_profile.csv": profile},
                    f"force: x_0 = {x_0:.6g} m, mean = {force.mean:.6f} N, "
                    f"ripple = {force.ripple_pct:.4f} %")
 
@@ -231,15 +226,11 @@ def cmd_emf(args: argparse.Namespace, design: MotorDesign,
     ts = quantities.period_grid(design, args.nt)
     emf = quantities.back_emf(design, coeffs, ts, args.x0)
     thd = quantities.emf_thd(design, coeffs)
-    phases = range(1, design.N_ph + 1)
-    header = (["t"] + [f"lambda_{m}" for m in phases]
-              + [f"emf_{m}" for m in phases] + [f"i_{m}" for m in phases]
-              + [f"thd_{m}" for m in phases])
-    rows = ([ts[i]] + list(emf.flux_linkage[:, i]) + list(emf.emf[:, i])
-            + list(emf.current[:, i]) + list(thd)
-            for i in range(len(ts)))
+    table = ({"t": ts} | _phases("lambda_", emf.flux_linkage)
+             | _phases("emf_", emf.emf) | _phases("i_", emf.current)
+             | _phases("thd_", np.multiply.outer(thd, np.ones(len(ts)))))
     peak = float(np.abs(emf.emf).max())
-    return Outcome({"emf.csv": (header, rows)},
+    return Outcome({"emf.csv": table},
                    f"emf: peak = {peak:.4f} V, THD = {float(thd[0]):.6f}")
 
 
@@ -249,22 +240,22 @@ def cmd_normal(args: argparse.Namespace, design: MotorDesign,
     if not 0 <= g0_max < design.g:
         raise InvalidValue("g_0", f"--g0 {g0_max!r} must satisfy 0 <= g_0 < g = {design.g}")
     offsets = np.linspace(0.0, g0_max, 13) if g0_max > 0 else np.array([0.0])
-    rows = []
-    for g0 in offsets:
-        r = quantities.misalignment_force(design, trunc, g_0=float(g0))
-        rows.append([r.g_0, r.nominal, r.small_gap, r.large_gap, r.net])
-    header = ["g_0", "f_nominal", "f_small_gap", "f_large_gap", "f_net"]
-    return Outcome({"normal.csv": (header, rows)},
-                   f"normal: per-side pull {rows[0][1]:.4f} N, "
-                   f"net at g_0 = {g0_max:.4g} m: {rows[-1][4]:.4f} N")
+    forces = [quantities.misalignment_force(design, trunc, g_0=float(g0))
+              for g0 in offsets]
+    table = {name: np.array([getattr(f, name.removeprefix("f_")) for f in forces])
+             for name in ("g_0", "f_nominal", "f_small_gap", "f_large_gap", "f_net")}
+    return Outcome({"normal.csv": table},
+                   f"normal: per-side pull {forces[0].nominal:.4f} N, "
+                   f"net at g_0 = {g0_max:.4g} m: {forces[-1].net:.4f} N")
 
 
 def cmd_verify(args: argparse.Namespace, design: MotorDesign,
                trunc: HarmonicTruncation) -> Outcome:
     results = verify.verify_suite(design, trunc, skip_fd=args.skip_fd)
-    report = (["name", "status", "margin", "detail"],
-              ([r.name, "PASS" if r.passed else "FAIL", r.margin, r.detail]
-               for r in results))
+    report = {"name": [r.name for r in results],
+              "status": ["PASS" if r.passed else "FAIL" for r in results],
+              "margin": np.array([r.margin for r in results], dtype=float),
+              "detail": [r.detail for r in results]}
     return Outcome({"verify_report.csv": report}, verify.format_report(results),
                    0 if all(r.passed for r in results) else 1)
 
@@ -276,14 +267,14 @@ def _best(point: dict[str, float]) -> str:
 def cmd_sweep(args: argparse.Namespace, design: MotorDesign,
               trunc: HarmonicTruncation) -> Outcome:
     result = studio.sweep(design, _stage(args), _objective(args),
-                          dict(args.axis), trunc)
+                          _by_key("--axis", args.axis), trunc)
     summary = {
         "best_index": result.best_index,
-        "best_point": _jsonable(result.best_point),
+        "best_point": result.best_point,
         "best_score": result.best_score,
         "points": int(result.table.shape[0]),
     }
-    return Outcome({"sweep.csv": (list(result.columns), result.table),
+    return Outcome({"sweep.csv": dict(zip(result.columns, result.table.T)),
                     "summary.json": summary},
                    f"sweep: {result.table.shape[0]} points, best score "
                    f"{result.best_score:.6f} at {_best(result.best_point)}")
@@ -292,16 +283,16 @@ def cmd_sweep(args: argparse.Namespace, design: MotorDesign,
 def cmd_optimize(args: argparse.Namespace, design: MotorDesign,
                  trunc: HarmonicTruncation) -> Outcome:
     result = studio.optimize(design, _stage(args), _objective(args),
-                             dict(args.bounds), trunc, coarse=args.coarse,
-                             passes=args.passes)
+                             _by_key("--bounds", args.bounds), trunc,
+                             coarse=args.coarse, passes=args.passes)
     summary = {
-        "best_point": _jsonable(result.best_point),
+        "best_point": result.best_point,
         "best_score": result.best_score,
-        "best_metrics": _jsonable(dataclasses.asdict(result.best_metrics)),
+        "best_metrics": dataclasses.asdict(result.best_metrics),
         "evaluations": int(result.trace.shape[0]),
-        "incumbent_scores": _jsonable(result.incumbent_scores),
+        "incumbent_scores": result.incumbent_scores,
     }
-    return Outcome({"optimize_trace.csv": (list(result.trace_columns), result.trace),
+    return Outcome({"optimize_trace.csv": dict(zip(result.trace_columns, result.trace.T)),
                     "summary.json": summary},
                    f"optimize: {result.trace.shape[0]} evaluations, best score "
                    f"{result.best_score:.6f} at {_best(result.best_point)}")
@@ -311,9 +302,9 @@ def cmd_sizing(args: argparse.Namespace, design: MotorDesign,
                trunc: HarmonicTruncation) -> Outcome:
     j_av = design.J_max if args.j_av is None else args.j_av
     sizing = studio.initial_sizing(args.b_av, j_av, design)
-    header = ["tau_av_N_per_m2", "f_av_N", "p_per_volume_W_per_m3"]
-    return Outcome({"sizing.csv": (header, [[sizing.tau_av, sizing.f_av,
-                                             sizing.p_per_volume]])},
+    names = ["tau_av_N_per_m2", "f_av_N", "p_per_volume_W_per_m3"]
+    columns = np.array([[sizing.tau_av], [sizing.f_av], [sizing.p_per_volume]])
+    return Outcome({"sizing.csv": dict(zip(names, columns))},
                    f"shear stress: {sizing.tau_av:.6g} N/m^2\n"
                    f"unit-cell force: {sizing.f_av:.6g} N\n"
                    f"loss density: {sizing.p_per_volume:.6g} W/m^3")
@@ -326,15 +317,17 @@ def _run(args: argparse.Namespace) -> int:
     if args.nmax is not None:
         trunc = HarmonicTruncation(args.nmax)
     started = time.perf_counter()
-    outcome = args.func(args, design, trunc)
+    # underflow is left alone: e^{-nky} underflows legitimately at high n
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        outcome = args.func(args, design, trunc)
     os.makedirs(args.out, exist_ok=True)
     for name, content in outcome.files.items():
         path = os.path.join(args.out, name)
         if name.endswith(".json"):
             _write_json(path, content)
         else:
-            _write_csv(path, *content)
-    params = {k: _jsonable(v) for k, v in vars(args).items()
+            _write_csv(path, content)
+    params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config", "out")}
     params["design"] = dataclasses.asdict(design)
     params["n_max_harmonic"] = trunc.n_max
@@ -452,7 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (SingularSystem, NoConvergence) as exc:
+    except (SingularSystem, NoConvergence, FloatingPointError) as exc:
         print(f"physics failure: {exc}", file=sys.stderr)
         return 1
     except (HalmotorError, ValueError, OSError) as exc:

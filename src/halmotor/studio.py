@@ -11,6 +11,7 @@ result can be checked against a dense grid at that final spacing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,6 +268,9 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         lo[k], hi[k] = float(a), float(b)
 
     step0 = {k: (hi[k] - lo[k]) / (coarse - 1) for k in keys}
+    n_points = math.prod(coarse if step0[k] > 0 else 1 for k in keys)
+    if n_points > _MAX_SWEEP_POINTS:
+        raise ValueError(f"optimize lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
     axes = {k: lo[k] + step0[k] * np.arange(coarse) if step0[k] > 0
             else np.array([lo[k]]) for k in keys}
     points = _factorial_points(axes)

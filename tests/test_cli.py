@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import halmotor
-from halmotor import cli, laplace, poisson, quantities, verify
+from halmotor import cli, laplace, poisson, quantities, studio, verify
 from halmotor.config import load_design
 from halmotor.halbach import fourier_coefficients
 
@@ -27,6 +27,11 @@ def _read_csv(path):
 
 def _column(rows, key):
     return np.array([float(r[key]) for r in rows])
+
+
+def _bits(values):
+    """Float bit patterns, so that a comparison is exact down to -0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def _manifest(out_dir):
@@ -74,6 +79,24 @@ def test_fields_models_agree(config_path, tmp_path, model):
         assert alt[5]["A_z"] != "nan"
 
 
+def test_fields_csv_is_the_field_map(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(config_path), "--out", str(out),
+                     "--model", "poisson-vector", "--grid", "16x8"]) == 0
+    design, trunc = load_design(str(config_path))
+    src = fourier_coefficients(design, trunc)
+    samples = laplace.field_map(design, src, poisson.solve_vector(design, src),
+                                np.arange(16) * design.lam / 16,
+                                np.linspace(0.0, design.g_e + design.h_m, 8),
+                                poisson.evaluate_fields_vector)
+    rows = _read_csv(out / "fields.csv")
+    assert [r["region"] for r in rows] == [s.region for s in samples]
+    for key in ("x", "y", "B_x", "B_y", "H_x", "H_y", "A_z"):
+        np.testing.assert_array_equal(_bits(_column(rows, key)),
+                                      _bits([getattr(s, key) for s in samples]))
+    assert np.isnan(_column(rows, "psi")).all()
+
+
 def test_fields_ymax_outside_domain(tmp_path, capsys):
     cfg = tmp_path / "iron.cfg"
     cfg.write_text(CONFIG_TEXT.replace("back_iron          = false",
@@ -98,10 +121,17 @@ def test_force_outputs(config_path, tmp_path):
     assert len(rows) == 36
     assert set(_column(rows, "ripple_pct")) == {want.ripple_pct}
     assert set(_column(rows, "f_mean")) == {want.mean}
-    np.testing.assert_array_equal(_column(rows, "f_total"), want.total)
+    np.testing.assert_array_equal(_bits(_column(rows, "t")), _bits(want.t))
+    for m in (1, 2, 3):
+        np.testing.assert_array_equal(_bits(_column(rows, f"f_phase_{m}")),
+                                      _bits(want.per_phase[m - 1]))
+    np.testing.assert_array_equal(_bits(_column(rows, "f_total")), _bits(want.total))
     angle = _read_csv(out / "force_angle.csv")
     assert len(angle) == 36
     assert list(angle[0]) == ["x_0", "f_total"]
+    x0s, totals = quantities.force_angle_sweep(design, coeffs, 36)
+    np.testing.assert_array_equal(_bits(_column(angle, "x_0")), _bits(x0s))
+    np.testing.assert_array_equal(_bits(_column(angle, "f_total")), _bits(totals))
     assert _manifest(out)["outputs"] == ["force_angle.csv",
                                          "force_profile.csv"]
 
@@ -129,11 +159,16 @@ def test_emf_outputs(config_path, tmp_path):
     design, trunc = load_design(str(config_path))
     coeffs = laplace.solve_coefficients(
         design, fourier_coefficients(design, trunc))
-    want = quantities.emf_thd(design, coeffs)
+    ts = quantities.period_grid(design, 24)
+    want = quantities.back_emf(design, coeffs, ts)
+    thd = quantities.emf_thd(design, coeffs)
+    np.testing.assert_array_equal(_bits(_column(rows, "t")), _bits(ts))
     for m in (1, 2, 3):
-        thd_col = set(_column(rows, f"thd_{m}"))
-        assert len(thd_col) == 1
-        assert thd_col.pop() == pytest.approx(want[m - 1], rel=1e-12)
+        for key, values in (("lambda", want.flux_linkage[m - 1]),
+                            ("emf", want.emf[m - 1]), ("i", want.current[m - 1]),
+                            ("thd", np.full(24, thd[m - 1]))):
+            np.testing.assert_array_equal(_bits(_column(rows, f"{key}_{m}")),
+                                          _bits(values))
 
 
 def test_normal_zero_offset_single_row(config_path, tmp_path):
@@ -280,6 +315,8 @@ def test_sweep_outputs(config_path, tmp_path):
     assert summary["best_score"] == scores.max()
     assert summary["best_point"]["h_c"] == float(
         rows[summary["best_index"]]["h_c"])
+    assert _manifest(out)["params"]["axis"] == [
+        ["h_c", np.linspace(0.003, 0.005, 3).tolist()]]
 
 
 def test_optimize_outputs(config_path, tmp_path):
@@ -400,6 +437,49 @@ def test_bad_count_is_usage_error(config_path, tmp_path, capsys, argv):
         cli.main([*argv, "--config", str(config_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "h_c=0.002:0.01:3", "--axis", "h_c=0.003:0.004:2"],
+    ["optimize", "--bounds", "h_c=0.001:0.017", "--bounds", "h_c=0.002:0.003"],
+], ids=["sweep-axis", "optimize-bounds"])
+def test_repeated_key_is_usage_error(config_path, tmp_path, capsys, monkeypatch,
+                                     argv):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a design before checking the keys")
+
+    monkeypatch.setattr(studio, "evaluate_design", no_evaluation)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"{argv[1]} h_c is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_lattice_over_cap_is_usage_error(config_path, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("built the coarse lattice before counting it")
+
+    monkeypatch.setattr(studio, "evaluate_design", no_lattice)
+    monkeypatch.setattr(studio, "_factorial_points", no_lattice)
+    out = tmp_path / "out"
+    assert cli.main(["optimize", "--config", str(config_path), "--out", str(out),
+                     "--bounds", "h_c=0.001:0.017", "--bounds", "h_m=0.004:0.024",
+                     "--coarse", "400"]) == 2
+    assert "160000 points exceeds 100000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_floating_point_fault_is_physics_failure(config_path, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(quantities, "emf_thd", lambda design, coeffs:
+                        np.zeros(design.N_ph) / np.zeros(design.N_ph))
+    out = tmp_path / "emf"
+    assert cli.main(["emf", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("physics failure: invalid value")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_max", ["4", "-3", "0"])

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from halmotor import studio
 from halmotor.config import MotorDesign
 from halmotor.errors import EmptyBounds, ZeroLoss
 from halmotor.studio import (MOVING_STATOR, ObjectiveConfig, StageSpec,
@@ -199,6 +200,18 @@ def test_optimize_input_validation(table1, stage, obj):
         optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, coarse=1)
     with pytest.raises(ValueError, match="passes >= 0"):
         optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, passes=-1)
+
+
+def test_optimize_counts_a_fixed_axis_as_one_point(table1, stage, obj, monkeypatch):
+    def by_coil_height(design, stage, obj, trunc):
+        return studio.StageMetrics(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), design.h_c
+
+    monkeypatch.setattr(studio, "evaluate_design", by_coil_height)
+    # 400 points; counting the two fixed axes as 400 each would exceed the cap
+    res = optimize(table1, stage, obj, {"lam": (0.04, 0.04), "h_m": (7e-3, 7e-3),
+                                        "h_c": (1e-3, 12e-3)}, coarse=400, passes=0)
+    assert res.trace.shape[0] == 400
+    assert res.best_point == {"lam": 0.04, "h_m": 7e-3, "h_c": 12e-3}
 
 
 def test_stage_spec_validation(table1):
