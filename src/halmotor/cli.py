@@ -153,7 +153,11 @@ def _key_numbers(text: str, form: str) -> tuple[str, list[str]]:
 
 def _axis_spec(text: str) -> tuple[str, np.ndarray]:
     key, (lo, hi, n) = _key_numbers(text, "KEY=LO:HI:N")
-    return key, np.linspace(_finite_float(lo), _finite_float(hi), _count_at_least(1)(n))
+    count = _count_at_least(1)(n)
+    if count > studio._MAX_SWEEP_POINTS:  # refuse before allocating the axis
+        raise argparse.ArgumentTypeError(
+            f"axis of {count} points exceeds {studio._MAX_SWEEP_POINTS}")
+    return key, np.linspace(_finite_float(lo), _finite_float(hi), count)
 
 
 def _bounds_spec(text: str) -> tuple[str, tuple[float, float]]:

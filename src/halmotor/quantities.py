@@ -6,6 +6,14 @@ set.  The slot layout and the phase currents come from `config`
 array is displaced by u t + x_0.  Forces are per stator unit cell (one
 wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, flux
 linkage, EMF and EMF THD all come from one slot-window table, `_lines`.
+
+One routine, `_synthesize`, sums that table over the harmonics at array
+shifts.  The force-angle scan and one electrical period are uniform shift
+grids o + j lam / N: line n is folded into FFT bin n mod N and one
+inverse FFT of length N yields the grid, exactly also when n_max >= N,
+since the harmonics sharing a bin take equal values on the grid.
+Arbitrary sample times are grids of N = 1 with one origin u t + x_0
+each, where the fold is the plain sum.
 """
 from __future__ import annotations
 
@@ -80,21 +88,62 @@ def _lines(design: MotorDesign, coeffs: FieldCoefficients):
     return nk, A1_sinh / nk * (np.exp(-1j * left) - np.exp(-1j * (left + slot)))
 
 
-def _at_shifts(nk: np.ndarray, lines: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """sum_n lines[..., n] e^{i nk_n s} per shift s, shape (..., S); only the
-    real (H, S) phases go through cos and sin, which beats a complex exp."""
-    motion = np.outer(nk, shifts)
-    c, s = np.cos(motion), np.sin(motion)
-    return (lines.real @ c - lines.imag @ s) + 1j * (lines.imag @ c + lines.real @ s)
+@dataclass(frozen=True)
+class _Period:
+    """A time argument of `thrust` or `back_emf` that states one electrical
+    period of nt uniform samples.  Since u t_j = j lam / nt, the array
+    shifts are then the grid x_0 + j lam / nt of the single origin x_0."""
+
+    nt: int
+
+
+def _samples(design: MotorDesign, t, x_0: float):
+    """Sample times, shift origins and samples per origin for a time
+    argument: a `_Period` is nt samples from the origin x_0; any other t is
+    one sample at each origin u t + x_0."""
+    if isinstance(t, _Period):
+        return period_grid(design, t.nt), x_0, t.nt
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return ts, design.u * ts + x_0, 1
+
+
+def _synthesize(n: np.ndarray, k: float, lines: np.ndarray, origins,
+                N: int) -> np.ndarray:
+    """sum_n lines[..., n] e^{i n k s} at s = o + j lam / N, j = 0..N-1, for
+    each origin o; shape (..., S N) for S origins, origin-major.
+
+    On the grid e^{i n k j lam / N} = e^{2 pi i n j / N} depends on n only
+    through n mod N, so line n, phased by e^{i n k o}, adds into bin
+    b = n mod N and one inverse FFT of length N gives all N samples.  The
+    fold is exact also for n_max >= N: the harmonics sharing a bin coincide
+    on the grid.  Laid out as n = r N + b, the lines form an (R, N) table,
+    and one batched product over r folds them per bin for all origins at
+    once.  With N = 1 there is one bin, the fold is the plain sum over n
+    and the FFT the identity: arbitrary sample times take that route, one
+    origin each.
+    """
+    origins = np.atleast_1d(origins)
+    lead = lines.shape[:-1]
+    R = -(-(int(n.max()) + 1) // N)
+    table = np.zeros(lead + (R * N,), dtype=complex)
+    table[..., n] = lines
+    phases = np.zeros((R * N, len(origins)), dtype=complex)
+    phases[n] = np.exp(1j * np.multiply.outer(n * k, origins))
+    # per bin b: (..., b, 1, R) @ (b, R, S) -> (..., b, 1, S)
+    bins = (table.reshape(lead + (R, N)).swapaxes(-1, -2)[..., None, :]
+            @ phases.reshape(R, N, -1).swapaxes(0, 1))[..., 0, :]
+    # np.fft is looked up here, not imported: numpy loads it lazily
+    samples = np.fft.ifft(bins, axis=-2, norm="forward")
+    return samples.swapaxes(-1, -2).reshape(lead + (-1,))
 
 
 def _phase_thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
-                  shifts: np.ndarray) -> np.ndarray:
-    """Thrust of every go side's phase, (N_ph, S), with the currents at
-    time(s) t and the array at the given shifts."""
-    nk, lines = _lines(design, coeffs)
+                  origins, N: int) -> np.ndarray:
+    """Thrust of every go side's phase, (N_ph, S N), with the currents at
+    time(s) t and the array on the shift grids of `_synthesize`."""
+    _, lines = _lines(design, coeffs)
     return (-8 * MU0 * design.L * all_phase_currents(design, t)
-            * _at_shifts(nk, lines, shifts).real)
+            * _synthesize(coeffs.n, design.k, lines, origins, N).real)
 
 
 def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
@@ -109,11 +158,12 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
     """Per-phase thrust: the current times the real part of the phase's
     slot-window lines at the array shift u t + x_0.
 
-    t may be a scalar or an array; ripple_pct is the peak-to-peak total
-    force over the grid relative to its mean.
+    t may be a scalar or an array (or, from `thrust_time_series`, a
+    `_Period`); ripple_pct is the peak-to-peak total force over the grid
+    relative to its mean.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    per_phase = _phase_thrust(design, coeffs, ts, design.u * ts + x_0)
+    ts, origins, N = _samples(design, t, x_0)
+    per_phase = _phase_thrust(design, coeffs, ts, origins, N)
     total = per_phase.sum(axis=0)
     mean = float(total.mean())
     ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / mean
@@ -123,7 +173,7 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
 def thrust_time_series(design: MotorDesign, coeffs: FieldCoefficients,
                        x_0: float = 0.0, nt: int = 720) -> ForceResult:
     """Thrust over one electrical period on a uniform nt-point grid."""
-    return thrust(design, coeffs, period_grid(design, nt), x_0)
+    return thrust(design, coeffs, _Period(nt), x_0)
 
 
 def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
@@ -150,7 +200,7 @@ def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
                       n_scan: int = 360) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t = 0 versus array shift x_0 over one wavelength."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    return x0s, _phase_thrust(design, coeffs, 0.0, x0s).sum(axis=0)
+    return x0s, _phase_thrust(design, coeffs, 0.0, 0.0, n_scan).sum(axis=0)
 
 
 def optimal_shift(design: MotorDesign, coeffs: FieldCoefficients,
@@ -170,11 +220,12 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
     array shift u t + x_0.  EMF is its exact time derivative, the real part
     of u times the lines; both share one scale.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts, origins, N = _samples(design, t, x_0)
     nk, lines = _lines(design, coeffs)
     ws = design.slot_width
     scale = -8 * MU0 * design.L * design.N_turns / (design.h_c * ws)
-    at = _at_shifts(nk, np.stack([lines / nk, design.u * lines]), design.u * ts + x_0)
+    at = _synthesize(coeffs.n, design.k, np.stack([lines / nk, design.u * lines]),
+                     origins, N)
     linkage, emf = scale * at[0].imag, scale * at[1].real
     current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
     return EmfResult(ts, linkage, emf, current)
@@ -182,14 +233,19 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
 
 def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
                   x_0: float = 0.0, nt: int = 720) -> PowerBalance:
-    """Check sum(E_m I_m) = u F_t over one electrical period."""
-    ts = period_grid(design, nt)
-    e = back_emf(design, coeffs, ts, x_0)
+    """Check sum(E_m I_m) = u F_t over one electrical period.
+
+    The thrust comes from the period's shift grid and the EMF sample by
+    sample, so the check also holds the two synthesis modes against each
+    other.
+    """
+    force = thrust_time_series(design, coeffs, x_0, nt)
+    e = back_emf(design, coeffs, force.t, x_0)
     electrical = (e.emf * e.current).sum(axis=0)
-    mechanical = design.u * thrust(design, coeffs, ts, x_0).total
+    mechanical = design.u * force.total
     scale = max(float(np.abs(mechanical).max()), 1e-30)
     dev = float(np.abs(electrical - mechanical).max()) / scale
-    return PowerBalance(ts, electrical, mechanical, dev)
+    return PowerBalance(force.t, electrical, mechanical, dev)
 
 
 def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:

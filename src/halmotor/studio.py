@@ -27,6 +27,7 @@ MOVING_STATOR = "moving-stator"
 
 _AXES = ("lam", "h_m", "h_c")
 _MAX_SWEEP_POINTS = 100_000
+_RESOLUTION_ULPS = 4  # smallest refinement step, in ulps of the larger bound
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,8 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 
     Every candidate stays on the coarse lattice subdivided by 2**passes,
     and within bounds; the trace carries one row per evaluation with its
-    pass index.  Incumbent scores never decrease.
+    pass index.  Incumbent scores never decrease.  Passes that would refine
+    an axis below a few ulps of its upper bound are refused up front.
     """
     if coarse < 2 or passes < 0:
         raise ValueError("optimize needs coarse >= 2 and passes >= 0, "
@@ -268,6 +270,13 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         lo[k], hi[k] = float(a), float(b)
 
     step0 = {k: (hi[k] - lo[k]) / (coarse - 1) for k in keys}
+    for k in keys:
+        # a finer pass would only re-score designs that round to the same
+        # floats; ldexp, unlike 2 ** passes, cannot overflow
+        finest = math.ldexp(step0[k], -passes)
+        if step0[k] > 0 and finest < _RESOLUTION_ULPS * np.spacing(hi[k]):
+            raise ValueError(f"passes = {passes} refines {k!r} below float "
+                             f"resolution (step {finest:.3g})")
     n_points = math.prod(coarse if step0[k] > 0 else 1 for k in keys)
     if n_points > _MAX_SWEEP_POINTS:
         raise ValueError(f"optimize lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")

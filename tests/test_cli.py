@@ -470,6 +470,48 @@ def test_optimize_lattice_over_cap_is_usage_error(config_path, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_axis_over_cap_is_refused_before_allocation(config_path, tmp_path,
+                                                         capsys, monkeypatch):
+    def no_axis(*args, **kwargs):
+        raise AssertionError("built the axis before counting it")
+
+    monkeypatch.setattr(cli.np, "linspace", no_axis)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(config_path), "--out", str(out),
+                  "--axis", "h_c=0.001:0.002:100001"])
+    assert exc.value.code == 2
+    assert "axis of 100001 points exceeds 100000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_passes_below_float_resolution_is_usage_error(
+        config_path, tmp_path, capsys, monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("scored a design before checking the passes")
+
+    monkeypatch.setattr(studio, "evaluate_design", no_evaluation)
+    out = tmp_path / "out"
+    assert cli.main(["optimize", "--config", str(config_path), "--out", str(out),
+                     "--bounds", "h_c=0.001:0.012", "--coarse", "3",
+                     "--passes", "60"]) == 2
+    err = capsys.readouterr().err
+    assert "error: passes = 60 refines 'h_c' below float resolution" in err
+    assert not out.exists()
+
+
+def test_resolution_guard_leaves_admissible_optimize_unchanged(config_path, tmp_path,
+                                                               monkeypatch):
+    argv = ["optimize", "--config", str(config_path), "--bounds", "h_c=0.001:0.012",
+            "--coarse", "3", "--passes", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "guarded")]) == 0
+    monkeypatch.setattr(studio, "_RESOLUTION_ULPS", 0)
+    assert cli.main([*argv, "--out", str(tmp_path / "unguarded")]) == 0
+    for name in ("optimize_trace.csv", "summary.json"):
+        assert ((tmp_path / "guarded" / name).read_bytes()
+                == (tmp_path / "unguarded" / name).read_bytes())
+
+
 def test_floating_point_fault_is_physics_failure(config_path, tmp_path, capsys,
                                                  monkeypatch):
     monkeypatch.setattr(quantities, "emf_thd", lambda design, coeffs:

@@ -9,12 +9,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from halmotor.config import MU0, HarmonicTruncation, MotorDesign, slot_offsets
+from halmotor.config import (MU0, HarmonicTruncation, MotorDesign,
+                             all_phase_currents, slot_offsets)
 from halmotor.errors import OffsetExceedsGap, ZeroVelocity
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import airgap_B_y, solve_coefficients
 from halmotor.poisson import evaluate_fields_vector, solve_vector
-from halmotor.quantities import (attraction_force, back_emf, emf_thd,
+from halmotor.quantities import (_lines, attraction_force, back_emf, emf_thd,
                                  force_angle_sweep, misalignment_force,
                                  optimal_shift, power_balance, thrust,
                                  thrust_quadrature, thrust_time_series)
@@ -97,6 +98,57 @@ def test_force_angle_sweep_matches_thrust(table1, coeffs):
     for i in (0, 9, 27):
         direct = thrust(table1, coeffs, 0.0, x_0=float(x0s[i]))
         assert totals[i] == pytest.approx(float(direct.total[0]), rel=1e-13)
+
+
+SYNTHESIS_DESIGNS = [MotorDesign(**TABLE1),
+                     MotorDesign(**TABLE1, N_ph=5, back_iron=True)]
+
+
+@pytest.fixture(scope="module", params=[(d, n_max) for d in SYNTHESIS_DESIGNS
+                                        for n_max in (199, 799)],
+                ids=["table1-199", "table1-799", "5-phase-iron-199",
+                     "5-phase-iron-799"])
+def synthesis_case(request):
+    design, n_max = request.param
+    src = fourier_coefficients(design, HarmonicTruncation(n_max))
+    return design, solve_coefficients(design, src)
+
+
+def _direct_phase_thrust(design, coeffs, t, shifts):
+    """Per-phase thrust by an explicit sum over harmonics, one complex
+    exponential per line and shift."""
+    nk, lines = _lines(design, coeffs)
+    at = np.zeros((design.N_ph, len(shifts)), dtype=complex)
+    for n in range(len(nk)):
+        at += lines[:, n, None] * np.exp(1j * nk[n] * shifts)
+    return -8 * MU0 * design.L * all_phase_currents(design, t) * at.real
+
+
+def _assert_close_to_scale(got, want, tol=1e-13):
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("nt", [24, 720])
+def test_thrust_time_series_matches_direct_sum(synthesis_case, nt):
+    # nt = 24 is below n_max, so harmonics alias onto shared FFT bins
+    design, coeffs = synthesis_case
+    x_0 = 0.0113
+    res = thrust_time_series(design, coeffs, x_0, nt)
+    want = _direct_phase_thrust(design, coeffs, res.t, x_0 + design.u * res.t)
+    _assert_close_to_scale(res.per_phase, want)
+    _assert_close_to_scale(res.total, want.sum(axis=0))
+    # the same times given one by one take the single-origin route
+    single = thrust(design, coeffs, res.t, x_0)
+    _assert_close_to_scale(single.per_phase, res.per_phase)
+
+
+@pytest.mark.parametrize("n_scan", [36, 360])
+def test_force_angle_sweep_matches_direct_sum(synthesis_case, n_scan):
+    design, coeffs = synthesis_case
+    x0s, totals = force_angle_sweep(design, coeffs, n_scan)
+    np.testing.assert_array_equal(x0s, np.arange(n_scan) * design.lam / n_scan)
+    _assert_close_to_scale(totals, _direct_phase_thrust(design, coeffs, 0.0, x0s)
+                           .sum(axis=0))
 
 
 def test_thrust_scalar_and_array_time_agree(table1, coeffs):

@@ -200,6 +200,12 @@ def test_optimize_input_validation(table1, stage, obj):
         optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, coarse=1)
     with pytest.raises(ValueError, match="passes >= 0"):
         optimize(table1, stage, obj, {"h_c": (1e-3, 4e-3)}, passes=-1)
+    # 0.0055 / 2**50 is under 3 ulps of 0.012; a fixed axis has no step to refine
+    with pytest.raises(ValueError, match="passes = 50 refines 'h_c'"):
+        optimize(table1, stage, obj, {"lam": (0.04, 0.04), "h_c": (1e-3, 12e-3)},
+                 coarse=3, passes=50)
+    with pytest.raises(ValueError, match="passes = 100000 refines 'h_c'"):
+        optimize(table1, stage, obj, {"h_c": (1e-3, 12e-3)}, passes=100_000)
 
 
 def test_optimize_counts_a_fixed_axis_as_one_point(table1, stage, obj, monkeypatch):
