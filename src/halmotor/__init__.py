@@ -29,6 +29,7 @@ from .quantities import (
     attraction_force,
     back_emf,
     emf_thd,
+    emf_time_series,
     force_angle_sweep,
     misalignment_force,
     power_balance,
@@ -68,6 +69,7 @@ __all__ = [
     "attraction_force",
     "back_emf",
     "emf_thd",
+    "emf_time_series",
     "force_angle_sweep",
     "misalignment_force",
     "power_balance",

@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -73,19 +72,39 @@ class Outcome(NamedTuple):
     code: int = 0
 
 
-def _cells(column):
-    """A column's cells: a str list as it is, floats lazily as "%.17g"."""
-    if isinstance(column, list):
-        return column
-    return map(format, np.asarray(column, dtype=float), itertools.repeat(".17g"))
+_CSV_CHUNK_ROWS = 4096
+
+
+def _quoted(column: list, sole: bool) -> list:
+    """A str column's cells as csv.writer's default dialect writes them:
+    quoted when they hold a comma, a quote or a line break, or when empty
+    and the sole cell of their row."""
+    def quote(cell: str) -> str:
+        if any(c in cell for c in ',"\r\n') or (sole and not cell):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+    done = {cell: quote(cell) for cell in set(column)}
+    return [done[cell] for cell in column]
 
 
 def _write_csv(path: str, table: dict) -> None:
-    """Write a name -> column table as a header line and streamed rows."""
+    """Write a name -> column table as csv.writer would: a header line, then
+    rows of floats as "%.17g" and str cells quoted where needed.
+
+    Each row is one %-template over the columns, filled with Python floats
+    that are taken a chunk of rows at a time, so a long table is never
+    formatted whole in memory.
+    """
+    columns = [_quoted(col, len(table) == 1) if isinstance(col, list)
+               else np.asarray(col, dtype=float) for col in table.values()]
+    row = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\r\n"
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table))
-        writer.writerows(zip(*map(_cells, table.values())))
+        csv.writer(fh).writerow(list(table))
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            chunk = [col[lo:lo + _CSV_CHUNK_ROWS] if isinstance(col, list)
+                     else col[lo:lo + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            fh.writelines(map(row.__mod__, zip(*chunk)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -227,12 +246,11 @@ def cmd_force(args: argparse.Namespace, design: MotorDesign,
 def cmd_emf(args: argparse.Namespace, design: MotorDesign,
             trunc: HarmonicTruncation) -> Outcome:
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
-    ts = quantities.period_grid(design, args.nt)
-    emf = quantities.back_emf(design, coeffs, ts, args.x0)
+    emf = quantities.emf_time_series(design, coeffs, args.x0, args.nt)
     thd = quantities.emf_thd(design, coeffs)
-    table = ({"t": ts} | _phases("lambda_", emf.flux_linkage)
+    table = ({"t": emf.t} | _phases("lambda_", emf.flux_linkage)
              | _phases("emf_", emf.emf) | _phases("i_", emf.current)
-             | _phases("thd_", np.multiply.outer(thd, np.ones(len(ts)))))
+             | _phases("thd_", np.multiply.outer(thd, np.ones(len(emf.t)))))
     peak = float(np.abs(emf.emf).max())
     return Outcome({"emf.csv": table},
                    f"emf: peak = {peak:.4f} V, THD = {float(thd[0]):.6f}")

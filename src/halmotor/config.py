@@ -34,6 +34,9 @@ _SLOT_PATTERN = {
     3: ((1, 1), (-1, 3), (1, 2)),
     5: ((1, 1), (-1, 4), (1, 2), (-1, 5), (1, 3)),
 }
+# _SLOT_PATTERN as (N_ph, 1) columns: the sign and the lag (j - 1) 2 pi / N_ph
+_SLOT_PHASES = {n_ph: (np.array(p)[:, :1], (np.array(p)[:, 1:] - 1) * 2 * math.pi / n_ph)
+                for n_ph, p in _SLOT_PATTERN.items()}
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,8 @@ def slot_offsets(design: MotorDesign) -> np.ndarray:
 def all_phase_currents(design: MotorDesign, t) -> np.ndarray:
     """Current density of every go side, shape (N_ph, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    sign, j = np.array(_SLOT_PATTERN[design.N_ph]).T[:, :, None]
-    return sign * design.J_max * np.cos(
-        design.omega * t - (j - 1) * 2 * math.pi / design.N_ph + design.phi_0)
+    sign, lag = _SLOT_PHASES[design.N_ph]
+    return sign * design.J_max * np.cos(design.omega * t - lag + design.phi_0)
 
 
 class PeriodicSteps:

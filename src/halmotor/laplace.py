@@ -34,6 +34,10 @@ which stay of the order of the source terms for every n.  Each region's
 terms then read x e^{nk (y - y_face)} with a non-positive exponent, e.g.
 A1 e^{nky} = x1 e^{nk(y - g_e)} and B3 e^{-nky} = x5 e^{-nk(y - top)}, so
 no truncation order overflows.
+
+`solve_coefficients` takes the unknowns from their closed form and holds
+them to the equilibrated rows (`_rows`); `dense_coefficients` solves the
+same rows as matrices and is kept only as the independent reference.
 """
 from __future__ import annotations
 
@@ -100,8 +104,8 @@ def assemble_system(design: MotorDesign, source: HarmonicSource,
 
     Returned without scaling, exactly as written in the module docstring,
     for the raw amplitudes (A1, B1, A2, B2, B3).  Prefer
-    `solve_coefficients` for actual solving; it equilibrates the columns
-    before factorization, which matters for high harmonics.
+    `solve_coefficients` for actual solving; it works in the equilibrated
+    unknowns, which matters for high harmonics.
     """
     i = np.nonzero(source.n == n)[0]
     if len(i) != 1:
@@ -134,36 +138,54 @@ def assemble_system(design: MotorDesign, source: HarmonicSource,
     return A, rhs
 
 
+def _rows(design: MotorDesign, nk: np.ndarray, x) -> list:
+    """The equilibrated boundary rows, applied to the unknowns x = (x1..x5).
+
+    The rows of the module docstring divided through so that every
+    coefficient lands in [-1, 1] whatever the harmonic order; x holds four
+    entries (x1..x4) with back iron.  The one statement of these rows:
+    applied to unit vectors they give the dense matrix, and applied to
+    solved columns they give the left-hand side of the residual contract.
+    """
+    ea = np.exp(-nk * design.g_e)
+    ed = np.exp(-nk * design.h_m)
+    x1, x2, x3, x4 = x[:4]
+    rows = [ea * x1 + x2,
+            x1 - ea * x2 - ed * x3 + x4,
+            -x1 - ea * x2 + ed * x3 + x4]
+    if design.back_iron:
+        return rows + [-x3 - ed * x4]
+    return rows + [x3 - ed * x4 + x[4], -x3 - ed * x4 + x[4]]
+
+
+def _rhs(design: MotorDesign, S: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """(H, 4 or 5) right-hand sides of `_rows`, with S = sigma_n / (mu0 nk)
+    and K = k_n / nk."""
+    z = np.zeros_like(S)
+    cols = [z, S, K, -K] if design.back_iron else [z, S, K, -S, -K]
+    return np.stack(cols, axis=1)
+
+
 def _scaled_system(design: MotorDesign, nk: np.ndarray, S: np.ndarray,
                    K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of the boundary systems in the equilibrated unknowns x1..x5.
-
-    Every matrix entry lands in [-1, 1] whatever the harmonic order, so the
-    batched dense solve stays well conditioned for any truncation.
-    """
-    ema = np.exp(-nk * design.g_e)
-    emd = np.exp(-nk * design.h_m)
-    H = len(nk)
-    z = np.zeros(H)
-    o = np.ones(H)
-    if design.back_iron:
-        A = np.stack([
-            np.stack([ema, o, z, z], axis=1),
-            np.stack([o, -ema, -emd, o], axis=1),
-            np.stack([-o, -ema, emd, o], axis=1),
-            np.stack([z, z, -o, -emd], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, S, K, -K], axis=1)
-    else:
-        A = np.stack([
-            np.stack([ema, o, z, z, z], axis=1),
-            np.stack([o, -ema, -emd, o, z], axis=1),
-            np.stack([-o, -ema, emd, o, z], axis=1),
-            np.stack([z, z, o, -emd, o], axis=1),
-            np.stack([z, z, -o, -emd, o], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, S, K, -S, -K], axis=1)
+    """Batch of the dense boundary systems: `_rows` applied to each unit
+    vector gives one (H, rows) column of the (H, rows, unknowns) stack."""
+    rhs = _rhs(design, S, K)
+    A = np.stack([np.stack(_rows(design, nk, e), axis=1)
+                  for e in np.eye(rhs.shape[1])], axis=2)
     return A, rhs
+
+
+def _check_residual(lhs: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise SingularSystem where a harmonic's (H, rows) row residual
+    lhs - rhs exceeds the contract, _RESIDUAL_TOL times the norm of its
+    nonzero right-hand side."""
+    res2 = ((lhs - rhs) ** 2).sum(axis=1)
+    nb2 = (rhs ** 2).sum(axis=1)
+    bad = (res2 > _RESIDUAL_TOL ** 2 * nb2) & (nb2 > 0)
+    if bad.any():
+        worst = float(np.sqrt((res2[bad] / nb2[bad]).max()))
+        raise SingularSystem(f"boundary solve residual {worst:.2e} exceeds contract")
 
 
 def _batch_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -171,12 +193,7 @@ def _batch_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    res = np.linalg.norm((A @ x[..., None])[..., 0] - rhs, axis=1)
-    nb = np.linalg.norm(rhs, axis=1)
-    live = nb > 0
-    if np.any(res[live] > _RESIDUAL_TOL * nb[live]):
-        worst = float((res[live] / nb[live]).max())
-        raise SingularSystem(f"boundary solve residual {worst:.2e} exceeds contract")
+    _check_residual((A @ x[..., None])[..., 0], rhs)
     return x
 
 
@@ -188,40 +205,62 @@ def _pack(design: MotorDesign, source: HarmonicSource, model: str,
         x5=None if design.back_iron else x[:, 4])
 
 
-def _solve_hybrid(design: MotorDesign, source: HarmonicSource,
-                  model: str) -> FieldCoefficients:
+def _sources(design: MotorDesign, source: HarmonicSource):
+    """nk and the scaled sources S = sigma_n / (mu0 nk), K = k_n / nk."""
     nk = source.n * design.k
-    A, rhs = _scaled_system(design, nk, source.sigma_n / (MU0 * nk),
-                            source.k_n / nk)
-    return _pack(design, source, model, _batch_solve(A, rhs))
+    return nk, source.sigma_n / (MU0 * nk), source.k_n / nk
 
 
 def solve_coefficients(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
-    """Dense per-harmonic solve, the reference path for all field results."""
-    return _solve_hybrid(design, source, "laplace")
+    """The production solve: the closed form, held to the residual contract.
+
+    The closed-form unknowns are put back into the equilibrated boundary
+    rows, and a harmonic whose residual exceeds _RESIDUAL_TOL times its
+    right-hand side raises SingularSystem, as a dense solve would.
+    """
+    coeffs = closed_form_coefficients(design, source)
+    nk, S, K = _sources(design, source)
+    _check_residual(np.stack(_rows(design, nk, coeffs.stack().T), axis=1),
+                    _rhs(design, S, K))
+    return coeffs
+
+
+def dense_coefficients(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
+    """Batched dense solve of the same systems: the independent reference
+    that the closed form is checked against (verify and the tests)."""
+    A, rhs = _scaled_system(design, *_sources(design, source))
+    return _pack(design, source, "laplace", _batch_solve(A, rhs))
 
 
 def closed_form_coefficients(design: MotorDesign,
                              source: HarmonicSource) -> FieldCoefficients:
-    """Closed-form solution of the same systems, kept as a cross-check.
+    """Closed-form solution of the boundary systems, the production route
+    behind `solve_coefficients`.
 
     Written in the equilibrated unknowns with e_a = e^-a, e_d = e^{-nk h_m}
-    and e_b = e_a e_d, so every exponential is at most 1.
+    and e_b = e_a e_d, so every exponential is at most 1.  It broadcasts
+    over the harmonics with no matrix formed.  The back-iron form divides
+    by 1 - e_b^2, so there every difference 1 - e^-x is taken as
+    -expm1(-x): with a long wavelength over thin layers, 1 - e^-x would
+    lose the digits that the division then magnifies.
     """
-    nk = source.n * design.k
-    S = source.sigma_n / (MU0 * nk)
-    K = source.k_n / nk
+    nk, S, K = _sources(design, source)
     ea = np.exp(-nk * design.g_e)
     ed = np.exp(-nk * design.h_m)
-    eb = ea * ed
     if design.back_iron:
-        D = 2 * (1 - eb ** 2)
-        x1 = (S * (1 - ed ** 2) - K * (1 - ed) ** 2) / D
+        a, d = nk * design.g_e, nk * design.h_m
+        D = -2 * np.expm1(-2 * (a + d))
+        one_ed = -np.expm1(-d)
+        one_ed2 = -np.expm1(-2 * d)
+        one_ea2 = -np.expm1(-2 * a)
+        one_eaeb = -np.expm1(-(2 * a + d))
+        x1 = (S * one_ed2 - K * one_ed ** 2) / D
         x2 = -ea * x1
-        x3 = -(S * (ed - ea * eb) + K * (ed + ea * eb - 2)) / D
-        x4 = (S * (1 - ea ** 2) + K * (1 + ea ** 2 - 2 * ea * eb)) / D
+        x3 = (K * (one_ed + one_eaeb) - S * ed * one_ea2) / D
+        x4 = (S * one_ea2 + K * (one_eaeb + ea ** 2 * one_ed)) / D
         cols = [x1, x2, x3, x4]
     else:
+        eb = ea * ed
         x1 = 0.5 * (S - K) * (1 - ed)
         x2 = -0.5 * (S - K) * (ea - eb)
         x3 = -0.5 * (S - K)

@@ -21,6 +21,8 @@ of the package's standing self-checks.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .config import MU0, MotorDesign
@@ -32,7 +34,7 @@ from .laplace import (
     _hybrid_fields,
     _pack,
     _region_terms,
-    _solve_hybrid,
+    solve_coefficients,
 )
 
 MODEL_SCALAR = "poisson-scalar"
@@ -96,7 +98,7 @@ def solve_scalar(design: MotorDesign, source: HarmonicSource) -> FieldCoefficien
     Since M_xn = -k_n and M_yn = -sigma_n / mu0 these are the hybrid rows
     (the back-iron row only changes sign), so the solutions coincide.
     """
-    return _solve_hybrid(design, source, MODEL_SCALAR)
+    return dataclasses.replace(solve_coefficients(design, source), model=MODEL_SCALAR)
 
 
 def solve_vector(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:

@@ -6,6 +6,9 @@ set.  The slot layout and the phase currents come from `config`
 array is displaced by u t + x_0.  Forces are per stator unit cell (one
 wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, flux
 linkage, EMF and EMF THD all come from one slot-window table, `_lines`.
+Each public function builds that table from solved coefficients; the
+private `_scan`, `_thrust` and `_thd` take a table already built, so a
+caller that needs several quantities of one design builds it once.
 
 One routine, `_synthesize`, sums that table over the harmonics at array
 shifts.  The force-angle scan and one electrical period are uniform shift
@@ -91,7 +94,8 @@ def _lines(design: MotorDesign, coeffs: FieldCoefficients):
 @dataclass(frozen=True)
 class _Period:
     """A time argument of `thrust` or `back_emf` that states one electrical
-    period of nt uniform samples.  Since u t_j = j lam / nt, the array
+    period of nt uniform samples (from `thrust_time_series` and
+    `emf_time_series`).  Since u t_j = j lam / nt, the array
     shifts are then the grid x_0 + j lam / nt of the single origin x_0."""
 
     nt: int
@@ -137,13 +141,13 @@ def _synthesize(n: np.ndarray, k: float, lines: np.ndarray, origins,
     return samples.swapaxes(-1, -2).reshape(lead + (-1,))
 
 
-def _phase_thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
+def _phase_thrust(design: MotorDesign, n: np.ndarray, lines: np.ndarray, t,
                   origins, N: int) -> np.ndarray:
-    """Thrust of every go side's phase, (N_ph, S N), with the currents at
-    time(s) t and the array on the shift grids of `_synthesize`."""
-    _, lines = _lines(design, coeffs)
+    """Thrust of every go side's phase, (N_ph, S N), from the line table of
+    orders n, with the currents at time(s) t and the array on the shift
+    grids of `_synthesize`."""
     return (-8 * MU0 * design.L * all_phase_currents(design, t)
-            * _synthesize(coeffs.n, design.k, lines, origins, N).real)
+            * _synthesize(n, design.k, lines, origins, N).real)
 
 
 def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
@@ -162,8 +166,14 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
     `_Period`); ripple_pct is the peak-to-peak total force over the grid
     relative to its mean.
     """
+    return _thrust(design, coeffs.n, _lines(design, coeffs)[1], t, x_0)
+
+
+def _thrust(design: MotorDesign, n: np.ndarray, lines: np.ndarray, t,
+            x_0: float) -> ForceResult:
+    """`thrust` from a line table already built."""
     ts, origins, N = _samples(design, t, x_0)
-    per_phase = _phase_thrust(design, coeffs, ts, origins, N)
+    per_phase = _phase_thrust(design, n, lines, ts, origins, N)
     total = per_phase.sum(axis=0)
     mean = float(total.mean())
     ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / mean
@@ -199,14 +209,24 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
 def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
                       n_scan: int = 360) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t = 0 versus array shift x_0 over one wavelength."""
+    return _scan(design, coeffs.n, _lines(design, coeffs)[1], n_scan)
+
+
+def _scan(design: MotorDesign, n: np.ndarray, lines: np.ndarray,
+          n_scan: int) -> tuple[np.ndarray, np.ndarray]:
+    """`force_angle_sweep` from a line table already built."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    return x0s, _phase_thrust(design, coeffs, 0.0, 0.0, n_scan).sum(axis=0)
+    return x0s, _phase_thrust(design, n, lines, 0.0, 0.0, n_scan).sum(axis=0)
 
 
 def optimal_shift(design: MotorDesign, coeffs: FieldCoefficients,
                   n_scan: int = 360) -> tuple[float, float]:
     """Array shift maximizing total thrust at t = 0, by dense scan."""
-    x0s, totals = force_angle_sweep(design, coeffs, n_scan)
+    return _argmax(*force_angle_sweep(design, coeffs, n_scan))
+
+
+def _argmax(x0s: np.ndarray, totals: np.ndarray) -> tuple[float, float]:
+    """The scanned shift of largest total thrust, and that thrust."""
     i = int(np.argmax(totals))
     return float(x0s[i]), float(totals[i])
 
@@ -229,6 +249,13 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
     linkage, emf = scale * at[0].imag, scale * at[1].real
     current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
     return EmfResult(ts, linkage, emf, current)
+
+
+def emf_time_series(design: MotorDesign, coeffs: FieldCoefficients,
+                    x_0: float = 0.0, nt: int = 720) -> EmfResult:
+    """Flux linkage and EMF over one electrical period on a uniform nt-point
+    grid."""
+    return back_emf(design, coeffs, _Period(nt), x_0)
 
 
 def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
@@ -256,7 +283,11 @@ def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:
     shift moves only the line's phase.  So the THD is exact, with no
     sampled period to alias.
     """
-    _, lines = _lines(design, coeffs)
+    return _thd(_lines(design, coeffs)[1])
+
+
+def _thd(lines: np.ndarray) -> np.ndarray:
+    """`emf_thd` from a line table already built."""
     mag = np.abs(lines)
     fund, rest = mag[:, 0], np.sqrt((mag[:, 1:] ** 2).sum(axis=1))  # n[0] == 1
     return np.divide(rest, fund, out=np.zeros_like(rest), where=fund > 0)

@@ -20,7 +20,7 @@ from .config import HarmonicTruncation, MotorDesign
 from .errors import EmptyBounds, ZeroLoss
 from .halbach import fourier_coefficients
 from .laplace import solve_coefficients
-from .quantities import emf_thd, optimal_shift, thrust_time_series
+from .quantities import _argmax, _lines, _Period, _scan, _thd, _thrust
 
 MOVING_PM = "moving-PM"
 MOVING_STATOR = "moving-stator"
@@ -174,13 +174,14 @@ def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
                     trunc: HarmonicTruncation | None = None) -> tuple[StageMetrics, float]:
     """Solve one design point end to end: fields, optimal shift (360-point
     scan), mean thrust over a 720-sample period, stage metrics, objective
-    score."""
+    score.  The scan, the period and the THD share one slot-window table."""
     trunc = trunc or HarmonicTruncation()
     coeffs = solve_coefficients(design, fourier_coefficients(design, trunc))
-    x_best, _ = optimal_shift(design, coeffs)
-    series = thrust_time_series(design, coeffs, x_best)
+    _, lines = _lines(design, coeffs)
+    x_best, _ = _argmax(*_scan(design, coeffs.n, lines, 360))
+    series = _thrust(design, coeffs.n, lines, _Period(720), x_best)
     metrics = stage_metrics(design, stage, series.mean)
-    thd = float(emf_thd(design, coeffs).max()) if obj.needs_thd else None
+    thd = float(_thd(lines).max()) if obj.needs_thd else None
     metrics = dataclasses.replace(metrics, ripple_pct=series.ripple_pct, thd=thd)
     return metrics, objective(design, stage, obj, metrics)
 
@@ -250,7 +251,9 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
     Every candidate stays on the coarse lattice subdivided by 2**passes,
     and within bounds; the trace carries one row per evaluation with its
     pass index.  Incumbent scores never decrease.  Passes that would refine
-    an axis below a few ulps of its upper bound are refused up front.
+    an axis below a few ulps of its upper bound are refused up front, and
+    with every axis fixed (lo == hi) there is nothing to refine, so only
+    the coarse pass runs.
     """
     if coarse < 2 or passes < 0:
         raise ValueError("optimize needs coarse >= 2 and passes >= 0, "
@@ -277,6 +280,8 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         if step0[k] > 0 and finest < _RESOLUTION_ULPS * np.spacing(hi[k]):
             raise ValueError(f"passes = {passes} refines {k!r} below float "
                              f"resolution (step {finest:.3g})")
+    if not any(step0.values()):
+        passes = 0
     n_points = math.prod(coarse if step0[k] > 0 else 1 for k in keys)
     if n_points > _MAX_SWEEP_POINTS:
         raise ValueError(f"optimize lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")

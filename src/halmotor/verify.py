@@ -1,10 +1,11 @@
 """Runtime self-checks: every redundant route the package carries, compared.
 
 Each check returns a CheckResult whose margin is value / tolerance, so
-anything at or below 1 passes.  The boundary-row check deliberately
-replays solved coefficients through the raw single-harmonic assembly
-rather than the equilibrated batch path used for solving: a sign error
-planted in either assembly is caught by the disagreement.
+anything at or below 1 passes.  The closed-form coefficients that every
+command uses are compared with a dense solve of the equilibrated rows,
+and the boundary-row check deliberately replays them through the raw
+single-harmonic assembly instead: a sign error planted in any of the
+three statements of the systems is caught by a disagreement.
 """
 from __future__ import annotations
 
@@ -55,10 +56,11 @@ def _case_tag(design: MotorDesign) -> str:
 
 
 def check_closed_vs_dense(design: MotorDesign, src, coeffs) -> CheckResult:
-    """Compare the stored columns with the closed forms, in stack scale."""
-    closed = laplace.closed_form_coefficients(design, src)
-    scale = float(np.abs(closed.stack()).max())
-    dev = float(np.abs(coeffs.stack() - closed.stack()).max()) / scale
+    """Compare the stored closed-form columns with the dense solve of the
+    same systems, in stack scale."""
+    dense = laplace.dense_coefficients(design, src).stack()
+    scale = float(np.abs(dense).max())
+    dev = float(np.abs(coeffs.stack() - dense).max()) / scale
     return _result(f"closed-vs-dense {_case_tag(design)}", dev, TOL_CLOSED)
 
 

@@ -5,6 +5,7 @@ directly to the terminal (bypassing capture) so the scoreboard shows up
 in a plain pytest run, then asserts both the check and its runtime
 budget.
 """
+import dataclasses
 import json
 import time
 
@@ -15,8 +16,9 @@ from halmotor import cli, verify
 from halmotor.config import MU0, HarmonicTruncation, MotorDesign
 from halmotor.fdcheck import midgap_convergence
 from halmotor.halbach import fourier_coefficients
+from halmotor import laplace
 from halmotor.laplace import (airgap_B_y, closed_form_coefficients,
-                              solve_coefficients)
+                              dense_coefficients, solve_coefficients)
 from halmotor.quantities import (attraction_force, back_emf,
                                  misalignment_force, power_balance,
                                  thrust_time_series)
@@ -64,23 +66,50 @@ def test_criterion_01_source_quadrature(capsys):
             f"worst rel {worst:.2e} (tol 1e-10)")
 
 
-def test_criterion_02_closed_vs_dense(capsys):
-    start = time.perf_counter()
+def _closed_vs_dense_worst(closed_form=closed_form_coefficients) -> float:
+    """Worst per-column deviation of the closed form from the dense solve."""
     worst = 0.0
     for n_m, back_iron in ALL_CASES:
         design = make_case(n_m, back_iron)
         src = fourier_coefficients(design, HarmonicTruncation())
-        dense = solve_coefficients(design, src)
-        closed = closed_form_coefficients(design, src)
+        dense = dense_coefficients(design, src)
+        closed = closed_form(design, src)
         for name in ("x1", "x2", "x3", "x4", "x5"):
             a, b = getattr(dense, name), getattr(closed, name)
             if a is None:
                 continue
             scale = max(float(np.abs(b).max()), 1e-300)
             worst = max(worst, float(np.abs(a - b).max()) / scale)
+    return worst
+
+
+def test_criterion_02_closed_vs_dense(capsys):
+    start = time.perf_counter()
+    worst = _closed_vs_dense_worst()
     _report(capsys, 2, worst <= 1e-10, time.perf_counter() - start, 1.0,
             f"closed-form vs dense coefficients, 8 cases: "
             f"worst rel {worst:.2e} (tol 1e-10)")
+
+
+@pytest.mark.parametrize("route", ["dense", "closed"])
+def test_criterion_02_fails_under_a_planted_fault(route, monkeypatch):
+    # a sign error in either route alone fails the criterion
+    closed_form = closed_form_coefficients
+    if route == "dense":
+        original = laplace._scaled_system
+
+        def fault(*args):
+            A, rhs = original(*args)
+            A[:, 0, 1] = -A[:, 0, 1]
+            return A, rhs
+
+        monkeypatch.setattr(laplace, "_scaled_system", fault)
+    else:
+        def closed_form(design, src):
+            coeffs = closed_form_coefficients(design, src)
+            return dataclasses.replace(coeffs, x3=-coeffs.x3)
+
+    assert _closed_vs_dense_worst(closed_form) > 1e-10
 
 
 def test_criterion_03_tri_model_equality(capsys):

@@ -2,6 +2,7 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import warnings
 from pathlib import Path
@@ -160,7 +161,7 @@ def test_emf_outputs(config_path, tmp_path):
     coeffs = laplace.solve_coefficients(
         design, fourier_coefficients(design, trunc))
     ts = quantities.period_grid(design, 24)
-    want = quantities.back_emf(design, coeffs, ts)
+    want = quantities.emf_time_series(design, coeffs, 0.0, 24)
     thd = quantities.emf_thd(design, coeffs)
     np.testing.assert_array_equal(_bits(_column(rows, "t")), _bits(ts))
     for m in (1, 2, 3):
@@ -252,6 +253,40 @@ def test_verify_catches_doubled_fundamental(back_iron, trunc):
     assert not maps.passed
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_closed_vs_dense_check_solves_the_dense_system(back_iron, trunc, monkeypatch):
+    # a sign error in the dense rows alone must show: the check may not
+    # compare the closed form with itself
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = laplace.solve_coefficients(design, src)
+    original = laplace._scaled_system
+
+    def flipped(*args):
+        A, rhs = original(*args)
+        A[:, 0, 1] = -A[:, 0, 1]
+        return A, rhs
+
+    monkeypatch.setattr(laplace, "_scaled_system", flipped)
+    assert not verify.check_closed_vs_dense(design, src, coeffs).passed
+
+
+def test_flipped_closed_form_column_is_physics_failure(config_path, tmp_path, capsys,
+                                                       monkeypatch):
+    original = laplace.closed_form_coefficients
+
+    def flipped(design, source):
+        coeffs = original(design, source)
+        return dataclasses.replace(coeffs, x3=-coeffs.x3)
+
+    monkeypatch.setattr(laplace, "closed_form_coefficients", flipped)
+    out = tmp_path / "force"
+    assert cli.main(["force", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("physics failure: boundary solve residual")
+    assert not out.exists()
+
+
 def _plant_in_kernel(monkeypatch, fault):
     """Route every field evaluation through a faulty region kernel."""
     original = laplace._region_terms
@@ -332,6 +367,49 @@ def test_optimize_outputs(config_path, tmp_path):
     assert all(a <= b for a, b in zip(scores, scores[1:]))
     assert 0.001 <= summary["best_point"]["h_c"] <= 0.012
     assert summary["best_metrics"]["ripple_pct"] is not None
+
+
+def test_optimize_with_every_axis_fixed_scores_once(config_path, tmp_path,
+                                                    monkeypatch):
+    calls = []
+    original = studio.evaluate_design
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(studio, "evaluate_design", counted)
+    out = tmp_path / "opt"
+    assert cli.main(["optimize", "--config", str(config_path), "--out", str(out),
+                     "--bounds", "h_c=0.004:0.004", "--passes", "30"]) == 0
+    rows = _read_csv(out / "optimize_trace.csv")
+    assert len(rows) == 1 and rows[0]["pass"] == "0"
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["evaluations"] == 1
+    assert len(summary["incumbent_scores"]) == 1
+    assert len(calls) == 2      # the coarse point and the final re-score
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    table = {"x": np.array([0.1, -0.0, 1e-300, np.nan, np.inf, 3]),
+             "tag, \"quoted\"": ["a", "b,c", 'say "hi"', "two\nlines", "", "cr\r"],
+             "n": np.array([1.5, -2.25, 7, 0.0, -np.inf, 2 ** 0.5])}
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), table)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(list(table))
+    writer.writerows(zip(*([c if isinstance(c, list) else
+                            [format(v, ".17g") for v in np.asarray(c, dtype=float)]
+                            for c in table.values()])))
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    # an empty sole cell is quoted, and rows past one chunk stream on
+    long = {"s": ["", "x"] * (cli._CSV_CHUNK_ROWS + 3)}
+    cli._write_csv(str(path), long)
+    ref = io.StringIO(newline="")
+    csv.writer(ref).writerows([["s"]] + [[c] for c in long["s"]])
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_sizing_outputs(config_path, tmp_path, capsys):

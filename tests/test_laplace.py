@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from halmotor import laplace
 from halmotor.config import HarmonicTruncation, MotorDesign
 from halmotor.errors import OutOfDomain, SingularSystem
 from halmotor.halbach import fourier_coefficients
@@ -14,6 +17,7 @@ from halmotor.laplace import (
     assemble_system,
     classify_region,
     closed_form_coefficients,
+    dense_coefficients,
     evaluate_fields,
     field_map,
     solve_coefficients,
@@ -32,7 +36,7 @@ PEAK_MIDGAP_BY = 0.6619180256766782
 def test_closed_forms_match_dense_solve(n_m, back_iron, trunc):
     design = make_case(n_m, back_iron)
     src = fourier_coefficients(design, trunc)
-    dense = solve_coefficients(design, src)
+    dense = dense_coefficients(design, src)
     closed = closed_form_coefficients(design, src)
     for name in ("x1", "x2", "x3", "x4", "x5"):
         a, b = getattr(dense, name), getattr(closed, name)
@@ -41,6 +45,44 @@ def test_closed_forms_match_dense_solve(n_m, back_iron, trunc):
             continue
         scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
         np.testing.assert_array_less(np.abs(a - b) / scale, 1e-10)
+
+
+# admissible designs: wavelengths of 5-200 mm over layers of 0.1-30 mm
+DESIGNS = st.builds(
+    MotorDesign, lam=st.floats(5e-3, 0.2), g=st.floats(1e-4, 5e-3),
+    h_c=st.floats(5e-4, 0.02), h_m=st.floats(5e-4, 0.03), L=st.just(0.04),
+    N_m=st.integers(2, 5), N_ph=st.sampled_from([3, 5]), back_iron=st.booleans())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(design=DESIGNS, n_max=st.integers(0, 1500).map(lambda h: 2 * h + 1))
+def test_production_solve_matches_dense_on_drawn_designs(design, n_max):
+    src = fourier_coefficients(design, HarmonicTruncation(n_max))
+    got = solve_coefficients(design, src).stack()
+    want = dense_coefficients(design, src).stack()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_residual_contract_refuses_a_wrong_closed_form(table1, source, monkeypatch):
+    original = laplace.closed_form_coefficients
+
+    def flipped(design, src):
+        coeffs = original(design, src)
+        return dataclasses.replace(coeffs, x4=-coeffs.x4)
+
+    monkeypatch.setattr(laplace, "closed_form_coefficients", flipped)
+    with pytest.raises(SingularSystem, match="residual"):
+        solve_coefficients(table1, source)
+
+
+def test_back_iron_closed_form_keeps_digits_on_thin_layers():
+    # nk (g_e + h_m) = 2e-6 at the fundamental: written as 1 - e^-x, the
+    # differences lost enough digits to break the residual contract
+    design = MotorDesign(lam=10.0, g=1e-6, h_c=1e-6, h_m=1e-6, L=0.04, N_m=2,
+                         back_iron=True)
+    coeffs = solve_coefficients(design, fourier_coefficients(design,
+                                                             HarmonicTruncation(9)))
+    assert np.isfinite(coeffs.stack()).all()
 
 
 def test_frozen_spot_values(table1, source, coeffs):

@@ -16,9 +16,10 @@ from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import airgap_B_y, solve_coefficients
 from halmotor.poisson import evaluate_fields_vector, solve_vector
 from halmotor.quantities import (_lines, attraction_force, back_emf, emf_thd,
-                                 force_angle_sweep, misalignment_force,
-                                 optimal_shift, power_balance, thrust,
-                                 thrust_quadrature, thrust_time_series)
+                                 emf_time_series, force_angle_sweep,
+                                 misalignment_force, optimal_shift, period_grid,
+                                 power_balance, thrust, thrust_quadrature,
+                                 thrust_time_series)
 
 from conftest import TABLE1, make_case
 
@@ -232,6 +233,22 @@ def test_flux_linkage_against_vector_potential_quadrature(design):
             integral = float(np.dot(wy, columns)) * ws / nx
             quad[i, m] = 4 * design.N_turns * design.L / (design.h_c * ws) * integral
     assert np.abs(quad - closed).max() < 1e-7 * np.abs(closed).max()
+
+
+@pytest.mark.parametrize("n_ph", [3, 5])
+@pytest.mark.parametrize("nt", [24, 720])
+def test_emf_time_series_matches_per_sample_route(n_ph, nt):
+    design = MotorDesign(**TABLE1, N_ph=n_ph, back_iron=True)
+    _, coeffs = _solved(design)
+    x_0 = 0.0113
+    grid = emf_time_series(design, coeffs, x_0, nt)
+    ts = period_grid(design, nt)
+    each = back_emf(design, coeffs, ts, x_0)
+    np.testing.assert_array_equal(grid.t, ts)
+    np.testing.assert_array_equal(grid.current, each.current)
+    for got, want in ((grid.flux_linkage, each.flux_linkage), (grid.emf, each.emf)):
+        for m in range(n_ph):
+            _assert_close_to_scale(got[m], want[m])
 
 
 def test_emf_peak_frozen(table1, coeffs):
