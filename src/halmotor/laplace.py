@@ -166,14 +166,17 @@ def _rhs(design: MotorDesign, S: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _unit_columns(rows, n: int) -> np.ndarray:
+    """The (H, rows, n) matrix stack of a row function of n unknowns: the
+    rows applied to each unit vector give one (H, rows) column."""
+    return np.stack([np.stack(rows(e), axis=1) for e in np.eye(n)], axis=2)
+
+
 def _scaled_system(design: MotorDesign, nk: np.ndarray, S: np.ndarray,
                    K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of the dense boundary systems: `_rows` applied to each unit
-    vector gives one (H, rows) column of the (H, rows, unknowns) stack."""
+    """Batch of the dense boundary systems, built from `_rows`."""
     rhs = _rhs(design, S, K)
-    A = np.stack([np.stack(_rows(design, nk, e), axis=1)
-                  for e in np.eye(rhs.shape[1])], axis=2)
-    return A, rhs
+    return _unit_columns(lambda x: _rows(design, nk, x), rhs.shape[1]), rhs
 
 
 def _check_residual(lhs: np.ndarray, rhs: np.ndarray) -> None:
@@ -347,13 +350,12 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
 
 
 def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
-               x: np.ndarray, y: float, shift: float = 0.0) -> np.ndarray:
-    """Vectorized B_y in region I at height y with the mover shifted."""
+               x: np.ndarray, y: float) -> np.ndarray:
+    """Vectorized B_y in region I at height y."""
     if not 0 <= y <= design.g_e:
         raise OutOfDomain("y", y, "region I spans 0 <= y <= g_e")
     _, nk, P, Q = _region_terms(design, coeffs, y, "I")
-    return np.sin(np.outer(np.asarray(x, dtype=float) - shift, nk)) @ (
-        -MU0 * nk * (P - Q))
+    return np.sin(np.outer(np.asarray(x, dtype=float), nk)) @ (-MU0 * nk * (P - Q))
 
 
 def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoefficients,

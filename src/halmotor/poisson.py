@@ -34,6 +34,7 @@ from .laplace import (
     _hybrid_fields,
     _pack,
     _region_terms,
+    _unit_columns,
     solve_coefficients,
 )
 
@@ -41,9 +42,8 @@ MODEL_SCALAR = "poisson-scalar"
 MODEL_VECTOR = "poisson-vector"
 
 
-def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
-                          Myn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrated rows for the vector-potential route.
+def _rows_vector(design: MotorDesign, nk: np.ndarray, x) -> list:
+    """The equilibrated vector-potential rows, applied to the unknowns x.
 
     Raw rows (unknowns A1', B1', A2', B2', B3'):
 
@@ -55,32 +55,19 @@ def _scaled_system_vector(design: MotorDesign, nk: np.ndarray, Mxn: np.ndarray,
 
     Back iron replaces the last two with A2' e^b - B2' e^-b = mu0 M_xn /nk
     (B_x of the homogeneous part matches the magnetization term at the
-    iron face).  The unknowns are scaled as in the hybrid route.
+    iron face).  The unknowns are scaled as in the hybrid route; x holds
+    four entries with back iron.  Its own statement, not `laplace._rows`,
+    so that the vector route stays an independent solve.
     """
-    ema = np.exp(-nk * design.g_e)
-    emd = np.exp(-nk * design.h_m)
-    H = len(nk)
-    z = np.zeros(H)
-    o = np.ones(H)
+    ea = np.exp(-nk * design.g_e)
+    ed = np.exp(-nk * design.h_m)
+    x1, x2, x3, x4 = x[:4]
+    rows = [ea * x1 - x2,
+            x1 + ea * x2 - ed * x3 - x4,
+            x1 - ea * x2 - ed * x3 + x4]
     if design.back_iron:
-        A = np.stack([
-            np.stack([ema, -o, z, z], axis=1),
-            np.stack([o, ema, -emd, -o], axis=1),
-            np.stack([o, -ema, -emd, o], axis=1),
-            np.stack([z, z, o, -emd], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, MU0 * Myn / nk, -MU0 * Mxn / nk, MU0 * Mxn / nk], axis=1)
-    else:
-        A = np.stack([
-            np.stack([ema, -o, z, z, z], axis=1),
-            np.stack([o, ema, -emd, -o, z], axis=1),
-            np.stack([o, -ema, -emd, o, z], axis=1),
-            np.stack([z, z, o, emd, -o], axis=1),
-            np.stack([z, z, o, -emd, o], axis=1),
-        ], axis=1)
-        rhs = np.stack([z, MU0 * Myn / nk, -MU0 * Mxn / nk,
-                        -MU0 * Myn / nk, MU0 * Mxn / nk], axis=1)
-    return A, rhs
+        return rows + [x3 - ed * x4]
+    return rows + [x3 + ed * x4 - x[4], x3 - ed * x4 + x[4]]
 
 
 def solve_scalar(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
@@ -103,7 +90,11 @@ def solve_scalar(design: MotorDesign, source: HarmonicSource) -> FieldCoefficien
 
 def solve_vector(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
     nk = source.n * design.k
-    A, rhs = _scaled_system_vector(design, nk, source.M_xn, source.M_yn)
+    My, Mx = MU0 * source.M_yn / nk, MU0 * source.M_xn / nk
+    z = np.zeros_like(nk)
+    rhs = np.stack([z, My, -Mx, Mx] if design.back_iron else [z, My, -Mx, -My, Mx],
+                   axis=1)
+    A = _unit_columns(lambda x: _rows_vector(design, nk, x), rhs.shape[1])
     return _pack(design, source, MODEL_VECTOR, _batch_solve(A, rhs))
 
 

@@ -30,6 +30,8 @@ from .errors import OffsetExceedsGap, ZeroVelocity
 from .halbach import fourier_coefficients
 from .laplace import FieldCoefficients, _region_terms, solve_coefficients
 
+_QUAD_NX, _QUAD_NY = 8192, 96   # `thrust_quadrature` midpoint grid over the coil band
+
 
 @dataclass(frozen=True)
 class ForceResult:
@@ -187,22 +189,22 @@ def thrust_time_series(design: MotorDesign, coeffs: FieldCoefficients,
 
 
 def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
-                      x_0: float = 0.0, nx: int = 8192, ny: int = 96) -> float:
+                      x_0: float = 0.0) -> float:
     """Total thrust by quadrature of J B_y over the coil region.
 
-    The independent route: B_y is sampled at the midpoints of an nx-by-ny
-    grid over one wavelength of the coil band and weighted by the exact
-    cell averages of the slot current profile.  The factor 2 counts both
-    airgaps.
+    The independent route: B_y is sampled at the midpoints of a _QUAD_NX by
+    _QUAD_NY grid over one wavelength of the coil band and weighted by the
+    exact cell averages of the slot current profile.  The factor 2 counts
+    both airgaps.
     """
-    dx = design.lam / nx
-    xs = (np.arange(nx) + 0.5) * dx
-    ys = (np.arange(ny) + 0.5) * design.h_c / ny
+    dx = design.lam / _QUAD_NX
+    xs = (np.arange(_QUAD_NX) + 0.5) * dx
+    ys = (np.arange(_QUAD_NY) + 0.5) * design.h_c / _QUAD_NY
     Jx = slot_current_profile(design, t).average(xs - dx / 2, xs + dx / 2)
     shift = design.u * float(t) + x_0
     _, nk, P, Q = _region_terms(design, coeffs, ys[:, None], "I")
     By = np.sin(np.outer(xs - shift, nk)) @ (-MU0 * nk * (P - Q)).T
-    integral = float((Jx[:, None] * By).sum()) * dx * (design.h_c / ny)
+    integral = float((Jx[:, None] * By).sum()) * dx * (design.h_c / _QUAD_NY)
     return 2 * design.L * integral
 
 

@@ -3,10 +3,10 @@
 A stage strings N_u = L_stage / lambda unit cells along the travel axis at
 the stage in-depth length, which is configured separately from the unit
 cell's depth: unit-cell thrust is rescaled by depth ratio before any stage
-arithmetic.  The optimizer is a deterministic full-factorial coarse grid
-followed by two halving refinement passes around the incumbent; every
-refinement point stays on the coarse lattice subdivided by four, so its
-result can be checked against a dense grid at that final spacing.
+arithmetic.  A sweep and each optimizer pass score one full-factorial
+lattice through `_search`; refinement passes halve the step around the
+incumbent, so every point stays on the coarse lattice subdivided by
+2**passes and the result can be checked against a dense grid there.
 """
 from __future__ import annotations
 
@@ -189,28 +189,25 @@ def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 _SWEEP_COLUMNS = ("lam", "h_m", "h_c", "f_unit", "a", "p_cu", "tau", "score")
 
 
-def _point_design(design: MotorDesign, point: dict[str, float]) -> MotorDesign:
-    return dataclasses.replace(design, **point)
-
-
-def _evaluate_points(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
-                     points: list[dict[str, float]],
-                     trunc: HarmonicTruncation | None) -> np.ndarray:
-    rows = np.empty((len(points), len(_SWEEP_COLUMNS)))
+def _search(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
+            axes: dict[str, np.ndarray], trunc: HarmonicTruncation | None
+            ) -> tuple[list[dict[str, float]], np.ndarray, int]:
+    """Points (canonical C-order), `_SWEEP_COLUMNS` rows and first argmax of
+    the lattice `axes`, counted against the cap before any point is built."""
+    keys = [k for k in _AXES if k in axes]
+    n_points = math.prod(len(axes[k]) for k in keys)
+    if n_points > _MAX_SWEEP_POINTS:
+        raise ValueError(f"lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
+    grids = np.meshgrid(*(axes[k] for k in keys), indexing="ij")
+    points = [dict(zip(keys, map(float, values)))
+              for values in zip(*(g.ravel() for g in grids))]
+    rows = np.empty((n_points, len(_SWEEP_COLUMNS)))
     for i, point in enumerate(points):
-        d = _point_design(design, point)
+        d = dataclasses.replace(design, **point)
         metrics, score = evaluate_design(d, stage, obj, trunc)
         rows[i] = (d.lam, d.h_m, d.h_c, metrics.f_unit, metrics.a,
                    metrics.p_cu, metrics.tau, score)
-    return rows
-
-
-def _factorial_points(axes: dict[str, np.ndarray]) -> list[dict[str, float]]:
-    keys = [k for k in _AXES if k in axes]
-    grids = np.meshgrid(*(axes[k] for k in keys), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    return [dict(zip(keys, (float(f[i]) for f in flat)))
-            for i in range(len(flat[0]))]
+    return points, rows, int(np.argmax(rows[:, -1]))
 
 
 def sweep(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
@@ -231,13 +228,8 @@ def sweep(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
             raise EmptyBounds(f"axis {key!r} has no points")
         if np.min(vals) <= 0:
             raise ValueError(f"axis {key!r} must be positive")
-    norm = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in axes.items()}
-    n_points = int(np.prod([len(v) for v in norm.values()]))
-    if n_points > _MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
-    points = _factorial_points(norm)
-    table = _evaluate_points(design, stage, obj, points, trunc)
-    best = int(np.argmax(table[:, -1]))
+    points, table, best = _search(design, stage, obj, {
+        k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in axes.items()}, trunc)
     return SweepResult(_SWEEP_COLUMNS, table, best, points[best],
                        float(table[best, -1]))
 
@@ -248,12 +240,12 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
              coarse: int = 9, passes: int = 2) -> OptimizeResult:
     """Coarse full-factorial argmax plus halving refinement passes.
 
-    Every candidate stays on the coarse lattice subdivided by 2**passes,
-    and within bounds; the trace carries one row per evaluation with its
-    pass index.  Incumbent scores never decrease.  Passes that would refine
-    an axis below a few ulps of its upper bound are refused up front, and
-    with every axis fixed (lo == hi) there is nothing to refine, so only
-    the coarse pass runs.
+    Pass p > 0 scores +-2 steps of (coarse step) / 2**p around the
+    incumbent, within bounds; a fixed axis (lo == hi) is one point in every
+    pass.  The trace carries one row per evaluation with its pass index.
+    Incumbent scores never decrease.  Passes that would refine an axis
+    below a few ulps of its upper bound are refused up front, and with
+    every axis fixed only the coarse pass runs.
     """
     if coarse < 2 or passes < 0:
         raise ValueError("optimize needs coarse >= 2 and passes >= 0, "
@@ -262,16 +254,12 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         raise EmptyBounds("optimize needs at least one bounded axis")
     keys = [k for k in _AXES if k in bounds]
     if len(keys) != len(bounds):
-        unknown = set(bounds) - set(_AXES)
-        raise ValueError(f"unknown bound axes {sorted(unknown)}")
-    lo = {}
-    hi = {}
+        raise ValueError(f"unknown bound axes {sorted(set(bounds) - set(_AXES))}")
+    lo, hi = {}, {}
     for k in keys:
-        a, b = bounds[k]
-        if not (0 < a <= b):
+        lo[k], hi[k] = map(float, bounds[k])
+        if not (0 < lo[k] <= hi[k]):
             raise EmptyBounds(f"bounds for {k!r} are empty or non-positive")
-        lo[k], hi[k] = float(a), float(b)
-
     step0 = {k: (hi[k] - lo[k]) / (coarse - 1) for k in keys}
     for k in keys:
         # a finer pass would only re-score designs that round to the same
@@ -282,39 +270,26 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
                              f"resolution (step {finest:.3g})")
     if not any(step0.values()):
         passes = 0
-    n_points = math.prod(coarse if step0[k] > 0 else 1 for k in keys)
-    if n_points > _MAX_SWEEP_POINTS:
-        raise ValueError(f"optimize lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
-    axes = {k: lo[k] + step0[k] * np.arange(coarse) if step0[k] > 0
-            else np.array([lo[k]]) for k in keys}
-    points = _factorial_points(axes)
-    rows = _evaluate_points(design, stage, obj, points, trunc)
-    trace = [np.hstack([np.zeros((len(rows), 1)), rows])]
-    best_i = int(np.argmax(rows[:, -1]))
-    incumbent = dict(points[best_i])
-    best_score = float(rows[best_i, -1])
-    incumbent_scores = [best_score]
 
-    for p in range(1, passes + 1):
-        step = {k: step0[k] / 2 ** p for k in keys}
-        local_axes = {}
+    trace, incumbent_scores = [], []
+    for p in range(passes + 1):
+        axes = {}
         for k in keys:
-            if step[k] == 0:
-                local_axes[k] = np.array([incumbent[k]])
-                continue
-            cand = incumbent[k] + step[k] * np.arange(-2, 3)
-            tol = 1e-12 * (hi[k] - lo[k])
-            local_axes[k] = cand[(cand >= lo[k] - tol) & (cand <= hi[k] + tol)]
-        points = _factorial_points(local_axes)
-        rows = _evaluate_points(design, stage, obj, points, trunc)
+            if step0[k] == 0:
+                axes[k] = np.array([lo[k]])
+            elif p == 0:
+                axes[k] = lo[k] + step0[k] * np.arange(coarse)
+            else:
+                cand = incumbent[k] + step0[k] / 2 ** p * np.arange(-2, 3)
+                tol = 1e-12 * (hi[k] - lo[k])
+                axes[k] = cand[(cand >= lo[k] - tol) & (cand <= hi[k] + tol)]
+        points, rows, i = _search(design, stage, obj, axes, trunc)
         trace.append(np.hstack([np.full((len(rows), 1), float(p)), rows]))
-        i = int(np.argmax(rows[:, -1]))
-        if rows[i, -1] > best_score:
-            best_score = float(rows[i, -1])
-            incumbent = dict(points[i])
+        if p == 0 or rows[i, -1] > best_score:
+            best_score, incumbent = float(rows[i, -1]), points[i]
         incumbent_scores.append(best_score)
 
-    best_design = _point_design(design, incumbent)
+    best_design = dataclasses.replace(design, **incumbent)
     metrics, score = evaluate_design(best_design, stage, obj, trunc)
     return OptimizeResult(incumbent, best_design, metrics, best_score,
                           np.vstack(trace), ("pass",) + _SWEEP_COLUMNS,

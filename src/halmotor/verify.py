@@ -82,8 +82,10 @@ def check_tri_model(design: MotorDesign, src, coeffs,
     rng = np.random.default_rng(seed)
     y_top = design.g_e + design.h_m
     y_max = y_top if design.back_iron else 1.8 * y_top
-    # row-major (x, y) pairs: the same draws as one x, then one y, per point
-    pts = rng.uniform((0.0, 1e-6), (design.lam, y_max - 1e-9), (n_points, 2))
+    # row-major (x, y) pairs: the same draws as one x, then one y, per point;
+    # the y margins shrink with the stack, so a sub-micron one has room too
+    pts = rng.uniform((0.0, min(1e-6, 0.01 * y_max)),
+                      (design.lam, y_max - min(1e-9, 1e-5 * y_max)), (n_points, 2))
     regions = np.array([laplace.classify_region(design, y) for y in pts[:, 1]])
     worst = 0.0
     for region in set(regions.tolist()):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halmotor import laplace, poisson, verify
 from halmotor.config import HarmonicTruncation
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import evaluate_fields, solve_coefficients
@@ -179,3 +180,42 @@ def test_vector_map_scaling(coeffs):
     np.testing.assert_allclose(mapped.x1, -MU0 * coeffs.x1, rtol=1e-15)
     np.testing.assert_allclose(mapped.x2, MU0 * coeffs.x2, rtol=1e-15)
     np.testing.assert_allclose(mapped.x5, MU0 * coeffs.x5, rtol=1e-15)
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_flipped_vector_row_fails_the_maps_check(back_iron, trunc, monkeypatch):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = solve_coefficients(design, src)
+    maps, _ = verify.check_tri_model(design, src, coeffs, n_points=20)
+    assert maps.passed
+    original = poisson._rows_vector
+
+    def flipped(design, nk, x):
+        rows = original(design, nk, x)
+        return [rows[0], -rows[1], *rows[2:]]   # the B_y row, whose rhs is nonzero
+
+    monkeypatch.setattr(poisson, "_rows_vector", flipped)
+    maps, _ = verify.check_tri_model(design, src, coeffs, n_points=20)
+    assert not maps.passed
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_hybrid_row_fault_does_not_reach_the_vector_solve(back_iron, trunc,
+                                                          monkeypatch):
+    # the vector route states its own rows, so it stays an independent check
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    clean = solve_vector(design, src).stack()
+    original = laplace._rows
+
+    def flipped(design, nk, x):
+        rows = original(design, nk, x)
+        return [rows[0], -rows[1], *rows[2:]]
+
+    def no_system(*args):
+        raise AssertionError("the vector solve used the hybrid system")
+
+    monkeypatch.setattr(laplace, "_rows", flipped)
+    monkeypatch.setattr(laplace, "_scaled_system", no_system)
+    assert np.array_equal(solve_vector(design, src).stack(), clean)

@@ -220,6 +220,40 @@ def test_optimize_counts_a_fixed_axis_as_one_point(table1, stage, obj, monkeypat
     assert res.best_point == {"lam": 0.04, "h_m": 7e-3, "h_c": 12e-3}
 
 
+@pytest.mark.parametrize("target, refined", [
+    # interior incumbents: both refinement passes score 5 points
+    (8e-3, [[1e-3, 3.75e-3, 6.5e-3, 9.25e-3, 12e-3],
+            [6.5e-3, 7.875e-3, 9.25e-3, 10.625e-3, 12e-3]]),
+    # incumbent on the upper bound: candidates past it are dropped
+    (11.3e-3, [[6.5e-3, 9.25e-3, 12e-3], [9.25e-3, 10.625e-3, 12e-3]]),
+])
+def test_optimize_refines_a_free_axis_beside_a_fixed_one(table1, stage, obj,
+                                                         monkeypatch, target,
+                                                         refined):
+    calls = []
+
+    def peaked(design, stage, obj, trunc):
+        calls.append(design)
+        return (studio.StageMetrics(1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+                -abs(design.h_c - target))
+
+    monkeypatch.setattr(studio, "evaluate_design", peaked)
+    res = optimize(table1, stage, obj, {"h_c": (1e-3, 12e-3), "lam": (0.04, 0.04)},
+                   coarse=3, passes=2)
+    lattice = [(0, h) for h in (1e-3, 6.5e-3, 12e-3)]
+    lattice += [(p, h) for p, hs in enumerate(refined, 1) for h in hs]
+    assert res.trace.shape[0] == len(lattice)
+    np.testing.assert_array_equal(res.trace[:, 0], [p for p, _ in lattice])
+    # the fixed axis is one point in every pass: lam, h_m never move
+    assert set(res.trace[:, 1]) == {0.04} and set(res.trace[:, 2]) == {table1.h_m}
+    np.testing.assert_allclose(res.trace[:, 3], [h for _, h in lattice],
+                               rtol=0, atol=1e-17)
+    best = min((h for _, h in lattice), key=lambda h: abs(h - target))
+    assert res.best_point["lam"] == 0.04
+    assert res.best_point["h_c"] == pytest.approx(best, abs=1e-17)
+    assert len(calls) == len(lattice) + 1       # the best point is re-scored
+
+
 def test_stage_spec_validation(table1):
     with pytest.raises(ValueError):
         StageSpec(L_stage=-1.0)
