@@ -189,6 +189,11 @@ def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 _SWEEP_COLUMNS = ("lam", "h_m", "h_c", "f_unit", "a", "p_cu", "tau", "score")
 
 
+def _check_cap(what: str, n_points: int) -> None:
+    if n_points > _MAX_SWEEP_POINTS:
+        raise ValueError(f"{what} of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
+
+
 def _search(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
             axes: dict[str, np.ndarray], trunc: HarmonicTruncation | None
             ) -> tuple[list[dict[str, float]], np.ndarray, int]:
@@ -196,8 +201,7 @@ def _search(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
     the lattice `axes`, counted against the cap before any point is built."""
     keys = [k for k in _AXES if k in axes]
     n_points = math.prod(len(axes[k]) for k in keys)
-    if n_points > _MAX_SWEEP_POINTS:
-        raise ValueError(f"lattice of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
+    _check_cap("lattice", n_points)
     grids = np.meshgrid(*(axes[k] for k in keys), indexing="ij")
     points = [dict(zip(keys, map(float, values)))
               for values in zip(*(g.ravel() for g in grids))]
@@ -254,12 +258,16 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         raise EmptyBounds("optimize needs at least one bounded axis")
     keys = [k for k in _AXES if k in bounds]
     if len(keys) != len(bounds):
-        raise ValueError(f"unknown bound axes {sorted(set(bounds) - set(_AXES))}")
-    lo, hi = {}, {}
+        unknown = set(bounds) - set(_AXES)
+        raise ValueError(f"unknown bound axes {sorted(unknown)}")
+    lo = {}
+    hi = {}
     for k in keys:
-        lo[k], hi[k] = map(float, bounds[k])
-        if not (0 < lo[k] <= hi[k]):
+        a, b = bounds[k]
+        if not (0 < a <= b):
             raise EmptyBounds(f"bounds for {k!r} are empty or non-positive")
+        lo[k], hi[k] = float(a), float(b)
+
     step0 = {k: (hi[k] - lo[k]) / (coarse - 1) for k in keys}
     for k in keys:
         # a finer pass would only re-score designs that round to the same
@@ -270,8 +278,11 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
                              f"resolution (step {finest:.3g})")
     if not any(step0.values()):
         passes = 0
+    else:  # a free coarse axis alone can pass the cap: refuse it unbuilt
+        _check_cap("coarse axis", coarse)
 
-    trace, incumbent_scores = [], []
+    trace = []
+    incumbent_scores = []
     for p in range(passes + 1):
         axes = {}
         for k in keys:
@@ -286,7 +297,8 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
         points, rows, i = _search(design, stage, obj, axes, trunc)
         trace.append(np.hstack([np.full((len(rows), 1), float(p)), rows]))
         if p == 0 or rows[i, -1] > best_score:
-            best_score, incumbent = float(rows[i, -1]), points[i]
+            best_score = float(rows[i, -1])
+            incumbent = points[i]
         incumbent_scores.append(best_score)
 
     best_design = dataclasses.replace(design, **incumbent)

@@ -569,6 +569,12 @@ def test_optimize_lattice_over_cap_is_usage_error(config_path, tmp_path, capsys,
                      "--coarse", "400"]) == 2
     assert "160000 points exceeds 100000" in capsys.readouterr().err
     assert not out.exists()
+    # one free axis past the cap is refused before its coarse axis is built
+    monkeypatch.setattr(studio.np, "arange", no_lattice)
+    assert cli.main(["optimize", "--config", str(config_path), "--out", str(out),
+                     "--bounds", "h_c=0.001:0.017", "--coarse", "1000000000"]) == 2
+    assert "1000000000 points exceeds 100000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_axis_over_cap_is_refused_before_allocation(config_path, tmp_path,
