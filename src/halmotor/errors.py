@@ -69,6 +69,16 @@ class NoConvergence(HalmotorError):
     """A numerical scheme failed to reach its residual contract."""
 
 
+class UnresolvedGrid(HalmotorError, ValueError):
+    """The FD grid puts too few cells across the magnet array height."""
+
+    def __init__(self, cells: float, needed: int):
+        super().__init__(f"grid must resolve the array height with >= {needed} "
+                         f"cells; got {cells:.1f}")
+        self.cells = cells
+        self.needed = needed
+
+
 class ZeroVelocity(HalmotorError):
     """Power balance is undefined at zero mover speed."""
 

@@ -13,10 +13,16 @@ through any interior rectangle vanishes to solver tolerance, and the
 sheet sources at the array faces land on the grid with their dipole
 moments intact, which preserves second-order convergence.
 
-The linear system is solved directly (FFT across x, tridiagonal sweeps in
-y); the residual contract is checked after the fact.  With back iron the
-M_y band is extended through the wall: the iron face is an equipotential,
-and stopping the band there would plant a spurious half-sheet on the
+The face values factor into an x profile times a y band fraction, so the
+right-hand side has rank two and `FdGrid` keeps only the 1-D factors (the
+face arrays are built on demand).  The linear system is solved directly:
+the x transform of the source is a rank-two product of two 1-D FFTs, a
+real-valued Thomas sweep solves each x mode in y, and one inverse FFT per
+y row gives psi row-major, (ny+1, nx), handed out as its (nx, ny+1)
+transpose view.  The residual contract is checked after the fact, in
+blocks of rows, against the same factors.  With back iron the M_y band
+is extended through the wall: the iron face is an equipotential, and
+stopping the band there would plant a spurious half-sheet on the
 boundary row.
 
 The Lorentz-force check deposits the slot currents the same way, as exact
@@ -30,18 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MU0, HarmonicTruncation, MotorDesign, slot_current_profile
-from .errors import NoConvergence
+from .errors import NoConvergence, UnresolvedGrid
 from .halbach import fourier_coefficients, magnetization_steps
 from .laplace import FieldCoefficients, airgap_B_y, solve_coefficients
 
 _RESIDUAL_CONTRACT = 1e-10
 _MIN_CELLS_PER_ARRAY = 16
 _PAD_WAVELENGTHS = 3.0     # open-back top boundary above the array
+_RESIDUAL_BLOCK = 32       # rows: a block of 32 x 1024 floats stays in cache
 
 
 @dataclass(frozen=True)
 class FdGrid:
-    """Solved grid: psi on nodes (nx, ny+1), face magnetization, residual."""
+    """Solved grid: psi on nodes (nx, ny+1), the face magnetization as its
+    1-D factors, residual."""
 
     nx: int
     ny: int
@@ -50,9 +58,19 @@ class FdGrid:
     y_max: float
     back_iron: bool
     psi: np.ndarray
-    mx_face: np.ndarray
-    my_face: np.ndarray
+    mx_x: np.ndarray    # M_x on the x-faces is mx_x (nx,) times mx_y (ny+1,)
+    mx_y: np.ndarray
+    my_x: np.ndarray    # M_y on the y-faces is my_x (nx,) times my_y (ny,)
+    my_y: np.ndarray
     residual: float
+
+    @property
+    def mx_face(self) -> np.ndarray:
+        return self.mx_x[:, None] * self.mx_y[None, :]
+
+    @property
+    def my_face(self) -> np.ndarray:
+        return self.my_x[:, None] * self.my_y[None, :]
 
 
 @dataclass(frozen=True)
@@ -102,9 +120,7 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
     dx = design.lam / nx
     dy = y_max / ny
     if design.h_m / dy < _MIN_CELLS_PER_ARRAY:
-        raise ValueError(
-            f"grid must resolve the array height with >= {_MIN_CELLS_PER_ARRAY} "
-            f"cells; got {design.h_m / dy:.1f}")
+        raise UnresolvedGrid(design.h_m / dy, _MIN_CELLS_PER_ARRAY)
 
     m_x, m_y = magnetization_steps(design)
     xi = np.arange(nx) * dx
@@ -116,39 +132,68 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
     hi_my = np.inf if design.back_iron else top
     phi = _band_fraction(yj[:-1] + dy / 2, dy, ge, hi_my)
 
-    mx_face = fx[:, None] * fy_node[None, :]
-    my_face = ay[:, None] * phi[None, :]
-    rhs = ((mx_face - np.roll(mx_face, 1, axis=0))[:, 1:ny] / dx
-           + (my_face[:, 1:] - my_face[:, :-1]) / dy)
-
-    # Thomas sweep over the ny - 1 interior rows, one x mode per column
-    r_hat = np.fft.rfft(rhs.T, axis=1)
-    m = np.arange(nx // 2 + 1)
-    diag = -2 / dy ** 2 - (2 - 2 * np.cos(2 * np.pi * m / nx)) / dx ** 2
-    off = 1 / dy ** 2
-    nj = ny - 1
-    cp = np.zeros((nj, len(m)))
-    dp = np.zeros((nj, len(m)), dtype=complex)
-    cp[0] = off / diag
-    dp[0] = r_hat[0] / diag
-    for j in range(1, nj):
-        denom = diag - off * cp[j - 1]
-        cp[j] = off / denom
-        dp[j] = (r_hat[j] - off * dp[j - 1]) / denom
-    psi_hat = np.zeros((nj, len(m)), dtype=complex)
-    psi_hat[-1] = dp[-1]
-    for j in range(nj - 2, -1, -1):
-        psi_hat[j] = dp[j] - cp[j] * psi_hat[j + 1]
-    psi = np.zeros((nx, ny + 1))
-    psi[:, 1:ny] = np.fft.irfft(psi_hat, n=nx, axis=1).T
-
-    lap = ((np.roll(psi, -1, 0) - 2 * psi + np.roll(psi, 1, 0))[:, 1:ny] / dx ** 2
-           + (psi[:, 2:] - 2 * psi[:, 1:ny] + psi[:, :-2]) / dy ** 2)
-    res = float(np.linalg.norm(lap - rhs) / np.linalg.norm(rhs))
+    # rhs row j is y_src[j] @ x_src: the x difference of the M_x face
+    # profile times its band fraction, plus the M_y face profile times the
+    # y difference of its band fraction.  Rank two, so the x transform of
+    # the rhs is y_src @ rfft(x_src).  The wall rows have zero factors and
+    # come back from the same back transform as psi = 0.
+    x_src = np.stack([(fx - np.roll(fx, 1)) / dx, ay])
+    y_src = np.zeros((ny + 1, 2))
+    y_src[1:ny, 0] = fy_node[1:ny]
+    y_src[1:ny, 1] = np.diff(phi) / dy
+    psi_hat = y_src @ np.fft.rfft(x_src, axis=1)
+    _thomas(psi_hat[1:ny], nx, dx, dy)
+    psi_rows = np.fft.irfft(psi_hat, n=nx, axis=1)     # row-major (ny+1, nx)
+    res = _relative_residual(psi_rows, x_src, y_src, dx, dy)
     if res > _RESIDUAL_CONTRACT:
         raise NoConvergence(f"final residual {res:.3e} exceeds {_RESIDUAL_CONTRACT:g}")
-    return FdGrid(nx, ny, dx, dy, y_max, design.back_iron, psi,
-                  mx_face, my_face, res)
+    return FdGrid(nx, ny, dx, dy, y_max, design.back_iron, psi_rows.T,
+                  fx, fy_node, ay, phi, res)
+
+
+def _thomas(r_hat: np.ndarray, nx: int, dx: float, dy: float) -> None:
+    """Thomas sweep over the interior rows r_hat (rows, nx//2 + 1), one x
+    mode per column, in place.  The tridiagonal coefficients are real, so
+    the sweep runs on the real view with each coefficient repeated for the
+    real and the imaginary part; it scales by 1 / denom as numpy's complex
+    division by a real denominator does, so it matches the complex sweep to
+    the last bit."""
+    w = r_hat.view(float)
+    m = np.arange(nx // 2 + 1).repeat(2)
+    diag = -2 / dy ** 2 - (2 - 2 * np.cos(2 * np.pi * m / nx)) / dx ** 2
+    off = 1 / dy ** 2
+    cp = np.empty_like(w)
+    cp[0] = off / diag
+    w[0] *= 1 / diag
+    for j in range(1, len(w)):
+        denom = diag - off * cp[j - 1]
+        cp[j] = off / denom
+        w[j] -= off * w[j - 1]
+        w[j] *= 1 / denom
+    for j in range(len(w) - 2, -1, -1):
+        w[j] -= cp[j] * w[j + 1]
+
+
+def _relative_residual(psi_rows: np.ndarray, x_src: np.ndarray,
+                       y_src: np.ndarray, dx: float, dy: float) -> float:
+    """||lap psi - rhs|| / ||rhs|| over the interior rows of the row-major
+    potential, _RESIDUAL_BLOCK rows at a time so every temporary stays in
+    cache; each block forms its rhs as y_src[rows] @ x_src."""
+    ny = psi_rows.shape[0] - 1
+    cx, cy = 1 / dx ** 2, 1 / dy ** 2
+    err = norm = 0.0
+    for j0 in range(1, ny, _RESIDUAL_BLOCK):
+        j1 = min(j0 + _RESIDUAL_BLOCK, ny)
+        mid = psi_rows[j0:j1]
+        lap = ((psi_rows[j0 + 1:j1 + 1] + psi_rows[j0 - 1:j1 - 1]) * cy
+               - (2 * cx + 2 * cy) * mid)
+        lap[:, 1:-1] += (mid[:, 2:] + mid[:, :-2]) * cx
+        lap[:, [0, -1]] += (mid[:, [1, 0]] + mid[:, [-1, -2]]) * cx  # periodic in x
+        rhs = y_src[j0:j1] @ x_src
+        lap -= rhs
+        err += float(np.vdot(lap, lap))
+        norm += float(np.vdot(rhs, rhs))
+    return float(np.sqrt(err / norm))
 
 
 def fd_fields(design: MotorDesign, grid: FdGrid) -> FdFieldMap:

@@ -244,6 +244,26 @@ def test_verify_reports_on_a_sub_micron_stack(config_path, tmp_path, capsys):
     assert all(r["status"] == "PASS" for r in rows if "open" in r["name"])
 
 
+def test_verify_reports_an_fd_grid_too_coarse_for_the_array(config_path, tmp_path,
+                                                            capsys):
+    # at lambda_m = 0.08 the open-back oracle grid puts 14.3 cells across
+    # the array: its rows fail, and the rest of the report is still written
+    text = re.sub(r"^lambda_m .*$", "lambda_m = 0.08", config_path.read_text(),
+                  flags=re.M)
+    config_path.write_text(text)
+    out = tmp_path / "verify"
+    rc = cli.main(["verify", "--config", str(config_path), "--out", str(out)])
+    assert "error" not in capsys.readouterr().err
+    assert rc == 1
+    rows = _read_csv(out / "verify_report.csv")
+    failed = [r for r in rows if r["status"] == "FAIL"]
+    assert [r["name"] for r in failed] == [f"fd-midgap N_m={n} open" for n in (2, 3, 4, 5)]
+    for r in failed:
+        assert "14.3 cells" in r["detail"] and "--skip-fd" in r["detail"]
+        assert float(r["margin"]) > 1
+    assert sum(r["name"].startswith("fd-midgap") for r in rows) == 8
+
+
 def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
                                            monkeypatch):
     original = laplace.assemble_system

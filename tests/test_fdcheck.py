@@ -1,6 +1,10 @@
 """Finite-difference cross-check: solver contract, conservation, accuracy."""
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from halmotor import fdcheck
 from halmotor.config import MU0, HarmonicTruncation, MotorDesign
@@ -133,6 +137,42 @@ def test_residual_contract_enforced(table1, monkeypatch):
     monkeypatch.setattr(fdcheck, "_RESIDUAL_CONTRACT", 1e-16)
     with pytest.raises(NoConvergence):
         solve_scalar_poisson(table1, 256, 304)
+
+
+def test_residual_catches_a_faulty_back_transform(table1, monkeypatch):
+    # a back transform off by 1e-8 must break the 1e-10 residual contract
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * (1 + 1e-8))
+    with pytest.raises(NoConvergence):
+        solve_scalar_poisson(table1, 256, 304)
+
+
+def _sparse_reference(grid):
+    """psi from a sparse direct solve of the assembled 5-point system, its
+    rhs the compact divergence of the full face arrays."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    mx, my = grid.mx_face, grid.my_face
+    rhs = ((mx - np.roll(mx, 1, axis=0))[:, 1:ny] / dx
+           + (my[:, 1:] - my[:, :-1]) / dy)
+
+    def second_difference(n, periodic):
+        d = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+        if periodic:
+            d[0, n - 1] = d[n - 1, 0] = 1.0
+        return d.tocsr()
+
+    lap = (sparse.kron(second_difference(nx, True), sparse.identity(ny - 1)) / dx ** 2
+           + sparse.kron(sparse.identity(nx), second_difference(ny - 1, False)) / dy ** 2)
+    inner = spsolve(lap.tocsc(), rhs.ravel()).reshape(nx, ny - 1)
+    return np.pad(inner, ((0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("back_iron, nx, ny", [(False, 64, 304), (True, 64, 64)])
+def test_solution_matches_sparse_direct_solve(table1, back_iron, nx, ny):
+    grid = solve_scalar_poisson(dataclasses.replace(table1, back_iron=back_iron), nx, ny)
+    ref = _sparse_reference(grid)
+    assert grid.psi.shape == ref.shape == (nx, ny + 1)
+    assert np.abs(grid.psi - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_source_deposit_total_moment(table1, grid_open):
