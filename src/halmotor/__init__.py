@@ -17,6 +17,7 @@ from .errors import HalmotorError
 from .halbach import HarmonicSource, fourier_coefficients
 from .laplace import (
     FieldCoefficients,
+    FieldMap,
     FieldSample,
     airgap_B_y,
     closed_form_coefficients,
@@ -57,6 +58,7 @@ __all__ = [
     "HarmonicSource",
     "fourier_coefficients",
     "FieldCoefficients",
+    "FieldMap",
     "FieldSample",
     "airgap_B_y",
     "closed_form_coefficients",

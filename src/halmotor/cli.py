@@ -16,7 +16,8 @@ Defaults (used when a flag is not given):
     --model         laplace        fields
     --grid          256x128        fields: one wavelength by the full stack
                                    (at most 2**20 points)
-    --ymax          g_e + h_m      fields: top of the mapped band
+    --ymax          g_e + h_m      fields: top of the mapped band (>= 0; at
+                                   most g_e + h_m with back iron)
     --x0            force-angle optimum (force); 0.0 (emf)
     --nt            720            force, emf: samples per electrical period
                                    (the EMF THD is exact and does not use it)
@@ -213,17 +214,18 @@ def _by_key(flag: str, pairs: list[tuple]) -> dict:
 
 def cmd_fields(args: argparse.Namespace, design: MotorDesign,
                trunc: HarmonicTruncation) -> Outcome:
+    y_max = design.g_e + design.h_m if args.ymax is None else args.ymax
+    laplace.classify_region(design, y_max, "--ymax")  # refused before any solve
     solver, evaluator = _MODELS[args.model]
     src = fourier_coefficients(design, trunc)
     coeffs = solver(design, src)
     nx, ny = args.grid
     xs = np.arange(nx) * design.lam / nx
-    y_max = design.g_e + design.h_m if args.ymax is None else args.ymax
     ys = np.linspace(0.0, y_max, ny)
-    samples = laplace.field_map(design, src, coeffs, xs, ys, evaluator)
-    table = {name: [s.region for s in samples] if name == "region"
-             else np.array([getattr(s, name) for s in samples], dtype=float)
-             for name in ("x", "y", "region", "B_x", "B_y", "H_x", "H_y", "psi", "A_z")}
+    fmap = laplace.field_map(design, src, coeffs, xs, ys, evaluator)
+    table = ({"x": np.tile(fmap.x, ny), "y": np.repeat(fmap.y, nx),
+              "region": [r for r in fmap.region for _ in range(nx)]}
+             | {name: getattr(fmap, name).ravel() for name in laplace.MAP_FIELDS})
     return Outcome({"fields.csv": table},
                    f"fields: {nx}x{ny} {args.model} map -> {args.out}/fields.csv")
 
@@ -414,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_spec, default=(256, 128),
                    metavar="NXxNY", help="map resolution (default 256x128)")
     p.add_argument("--ymax", type=_finite_float, default=None,
-                   help="top of the mapped band in m (default: g_e + h_m)")
+                   help="top of the mapped band in m, >= 0 and at most g_e + h_m "
+                        "with back iron (default: g_e + h_m)")
 
     p = sub("force", cmd_force, "thrust profile and force-angle sweep")
     p.add_argument("--x0", type=_finite_float, default=None,

@@ -20,7 +20,7 @@ those profiles, and the finite-difference check deposits the same steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,25 +32,21 @@ class HarmonicSource:
     """Odd-harmonic Fourier coefficients of the array source profiles.
 
     k_n in A/m (current sheet), sigma_n in T (charge sheet, mu_0 included).
-    The equivalent magnetization harmonics are M_xn = -k_n and
-    M_yn = -sigma_n / mu_0.
+    The equivalent magnetization harmonics M_xn = -k_n and
+    M_yn = -sigma_n / mu_0 are formed once, when the source is built.
     """
 
     n: np.ndarray
     k_n: np.ndarray
     sigma_n: np.ndarray
+    M_xn: np.ndarray = field(init=False, repr=False, compare=False)
+    M_yn: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.n, self.k_n, self.sigma_n):
+        object.__setattr__(self, "M_xn", -self.k_n)
+        object.__setattr__(self, "M_yn", -self.sigma_n / MU0)
+        for a in (self.n, self.k_n, self.sigma_n, self.M_xn, self.M_yn):
             a.setflags(write=False)
-
-    @property
-    def M_xn(self) -> np.ndarray:
-        return -self.k_n
-
-    @property
-    def M_yn(self) -> np.ndarray:
-        return -self.sigma_n / MU0
 
 
 def fourier_coefficients(design: MotorDesign,

@@ -98,6 +98,31 @@ class FieldSample:
     A_z: float | np.ndarray | None
 
 
+MAP_FIELDS = ("B_x", "B_y", "H_x", "H_y", "psi", "A_z")
+
+
+@dataclass(frozen=True, eq=False)
+class FieldMap:
+    """Fields over the tensor grid y x x, one read-only (ny, nx) array each.
+
+    Entry [j, i] of a field is its value at (x[i], y[j]), so `.ravel()`
+    lists the points row by row.  psi and A_z are NaN wherever the model
+    does not define that potential.  region[j] names the region of row j,
+    which depends on y alone.  The six fields share one (6, ny, nx) block:
+    48 bytes per point.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    region: tuple[str, ...]
+    B_x: np.ndarray
+    B_y: np.ndarray
+    H_x: np.ndarray
+    H_y: np.ndarray
+    psi: np.ndarray
+    A_z: np.ndarray
+
+
 def assemble_system(design: MotorDesign, source: HarmonicSource,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw boundary matrix and right-hand side for one harmonic.
@@ -274,16 +299,17 @@ def closed_form_coefficients(design: MotorDesign,
     return _pack(design, source, "laplace", np.stack(cols, axis=1))
 
 
-def classify_region(design: MotorDesign, y: float) -> str:
+def classify_region(design: MotorDesign, y: float, coord: str = "y") -> str:
+    """The region of height y; `coord` names y in the out-of-domain error."""
     top = design.g_e + design.h_m
     if y < 0:
-        raise OutOfDomain("y", y, "below the stator face y = 0")
+        raise OutOfDomain(coord, y, "below the stator face y = 0")
     if y < design.g_e:
         return "I"
     if y <= top:
         return "II"
     if design.back_iron:
-        raise OutOfDomain("y", y, f"beyond the back iron at y = {top:g}")
+        raise OutOfDomain(coord, y, f"beyond the back iron at y = {top:g}")
     return "III"
 
 
@@ -360,10 +386,27 @@ def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
 
 def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoefficients,
               xs: np.ndarray, ys: np.ndarray,
-              evaluator=evaluate_fields) -> list[FieldSample]:
-    """Row-major list of samples over the tensor grid ys x xs."""
-    out = []
-    for y in ys:
-        for x in xs:
-            out.append(evaluator(design, source, coeffs, float(x), float(y)))
-    return out
+              evaluator=evaluate_fields) -> FieldMap:
+    """The fields over the tensor grid ys x xs as a `FieldMap` of (ny, nx)
+    arrays, NaN where the model leaves a potential undefined.
+
+    Every row's region is checked first, so a height outside the domain
+    raises before any point is evaluated.  `evaluator` is then called once
+    per point in row-major order, and its six values go straight into the
+    map's (6, ny, nx) block; no sample is kept, so the map costs 48 bytes
+    per point.
+    """
+    xs = np.array(xs, dtype=float)
+    ys = np.array(ys, dtype=float)
+    heights, columns = ys.tolist(), xs.tolist()
+    region = tuple(classify_region(design, y) for y in heights)
+    values = np.empty((len(MAP_FIELDS), len(heights), len(columns)))
+    for j, y in enumerate(heights):
+        row = values[:, j]
+        for i, x in enumerate(columns):
+            s = evaluator(design, source, coeffs, x, y)
+            # numpy stores an undefined (None) potential as NaN
+            row[:, i] = s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z
+    for a in (xs, ys, values):
+        a.setflags(write=False)
+    return FieldMap(xs, ys, region, *values)

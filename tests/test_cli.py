@@ -90,28 +90,51 @@ def test_fields_csv_is_the_field_map(config_path, tmp_path):
                      "--model", "poisson-vector", "--grid", "16x8"]) == 0
     design, trunc = load_design(str(config_path))
     src = fourier_coefficients(design, trunc)
-    samples = laplace.field_map(design, src, poisson.solve_vector(design, src),
-                                np.arange(16) * design.lam / 16,
-                                np.linspace(0.0, design.g_e + design.h_m, 8),
-                                poisson.evaluate_fields_vector)
+    fmap = laplace.field_map(design, src, poisson.solve_vector(design, src),
+                             np.arange(16) * design.lam / 16,
+                             np.linspace(0.0, design.g_e + design.h_m, 8),
+                             poisson.evaluate_fields_vector)
     rows = _read_csv(out / "fields.csv")
-    assert [r["region"] for r in rows] == [s.region for s in samples]
-    for key in ("x", "y", "B_x", "B_y", "H_x", "H_y", "A_z"):
-        np.testing.assert_array_equal(_bits(_column(rows, key)),
-                                      _bits([getattr(s, key) for s in samples]))
+    assert len(rows) == 16 * 8
+    x, y = np.meshgrid(fmap.x, fmap.y)  # (ny, nx), as the fields
+    assert [r["region"] for r in rows] == np.repeat(fmap.region, 16).tolist()
+    want = {"x": x, "y": y} | {key: getattr(fmap, key)
+                               for key in ("B_x", "B_y", "H_x", "H_y", "A_z")}
+    for key, grid in want.items():
+        assert grid.shape == (8, 16)
+        np.testing.assert_array_equal(_bits(_column(rows, key)), _bits(grid.ravel()))
+    assert np.isnan(fmap.psi).all()
     assert np.isnan(_column(rows, "psi")).all()
 
 
-def test_fields_ymax_outside_domain(tmp_path, capsys):
-    cfg = tmp_path / "iron.cfg"
-    cfg.write_text(CONFIG_TEXT.replace("back_iron          = false",
-                                       "back_iron          = true"))
-    out = tmp_path / "out"
-    rc = cli.main(["fields", "--config", str(cfg), "--out", str(out),
-                   "--ymax", "0.02"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()  # a failed command writes nothing
+def test_fields_ymax_outside_domain(tmp_path, capsys, monkeypatch):
+    """A --ymax outside the domain is refused by name before any solve."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_MODELS", {name: tuple(map(counting, fns))
+                                         for name, fns in cli._MODELS.items()})
+    iron = tmp_path / "iron.cfg"
+    iron.write_text(CONFIG_TEXT.replace("back_iron          = false",
+                                        "back_iron          = true"))
+    open_back = tmp_path / "open.cfg"
+    open_back.write_text(CONFIG_TEXT)
+    for cfg, ymax, limit in [(iron, "0.02", "beyond the back iron at y = 0.0115"),
+                             (open_back, "-1", "below the stator face y = 0")]:
+        out = tmp_path / cfg.stem
+        rc = cli.main(["fields", "--config", str(cfg), "--out", str(out),
+                       "--ymax", ymax])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: --ymax = {float(ymax)} lies outside" in err
+        assert limit in err
+        assert not out.exists()  # a failed command writes nothing
+    assert calls == []  # neither a solver nor an evaluator ran
 
 
 def test_force_outputs(config_path, tmp_path):

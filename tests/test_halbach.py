@@ -163,3 +163,15 @@ def test_even_odd_segment_counts_differ_in_edge_term():
 def test_sources_immutable(source):
     with pytest.raises(ValueError):
         source.k_n[0] = 0.0
+
+
+def test_magnetization_harmonics_formed_once(source):
+    assert source.M_xn is source.M_xn and source.M_yn is source.M_yn
+    for a in (source.M_xn, source.M_yn):
+        assert not a.flags.writeable
+    np.testing.assert_array_equal(source.M_xn.view(np.uint64),
+                                  (-source.k_n).view(np.uint64))
+    np.testing.assert_array_equal(source.M_yn.view(np.uint64),
+                                  (-source.sigma_n / MU0).view(np.uint64))
+    doubled = dataclasses.replace(source, k_n=2 * source.k_n)
+    np.testing.assert_array_equal(doubled.M_xn, -2 * source.k_n)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,11 +174,54 @@ def test_singular_system_raises():
 def test_field_map_row_major(table1, source, coeffs):
     xs = np.array([0.0, 0.01])
     ys = np.array([0.001, 0.003, 0.009])
-    samples = field_map(table1, source, coeffs, xs, ys)
-    assert len(samples) == 6
-    assert samples[0].y == samples[1].y == 0.001
-    assert samples[1].x == 0.01
-    assert samples[-1].region == "II"
+    fmap = field_map(table1, source, coeffs, xs, ys)
+    assert fmap.x.tolist() == [0.0, 0.01]
+    assert fmap.y.tolist() == [0.001, 0.003, 0.009]
+    assert fmap.region == ("I", "I", "II")
+    for name in laplace.MAP_FIELDS:
+        a = getattr(fmap, name)
+        assert a.shape == (3, 2) and a.flags.c_contiguous and not a.flags.writeable
+    assert np.isnan(fmap.A_z).all()  # the hybrid model has no vector potential
+    # entry [j, i] is the point (xs[i], ys[j]), so ravel() lists rows in turn
+    points = [(x, y) for y in ys for x in xs]
+    for k, (x, y) in enumerate(points):
+        s = evaluate_fields(table1, source, coeffs, x, y)
+        assert fmap.region[k // 2] == s.region
+        for name in ("B_x", "B_y", "H_x", "H_y", "psi"):
+            assert getattr(fmap, name).ravel()[k] == getattr(s, name), (name, k)
+
+
+def test_field_map_checks_every_row_before_evaluating(table1_iron, trunc):
+    src = fourier_coefficients(table1_iron, trunc)
+    coeffs = solve_coefficients(table1_iron, src)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_fields(*args)
+
+    top = table1_iron.g_e + table1_iron.h_m
+    with pytest.raises(OutOfDomain, match="beyond the back iron"):
+        field_map(table1_iron, src, coeffs, np.array([0.0, 0.01]),
+                  np.array([0.0, top, 1.5 * top]), counting)
+    assert calls == []
+
+
+def test_field_map_memory_per_point(table1, source, coeffs):
+    """A map holds its six fields in one float block, not one object per
+    point: the traced peak stays near the 48 bytes per point of that block
+    (a list of one FieldSample per point peaked at about 280)."""
+    nx = ny = 64
+    xs = np.arange(nx) * table1.lam / nx
+    ys = np.linspace(0.0, table1.g_e + table1.h_m, ny)
+    tracemalloc.start()
+    try:
+        fmap = field_map(table1, source, coeffs, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (nx * ny) <= 150
+    assert fmap.B_y.shape == (ny, nx)
 
 
 def test_iron_drops_outer_coefficient(table1_iron, trunc):
