@@ -79,13 +79,15 @@ _CSV_CHUNK_ROWS = 4096
 def _quoted(column: list, sole: bool) -> list:
     """A str column's cells as csv.writer's default dialect writes them:
     quoted when they hold a comma, a quote or a line break, or when empty
-    and the sole cell of their row."""
-    def quote(cell: str) -> str:
-        if any(c in cell for c in ',"\r\n') or (sole and not cell):
-            return '"' + cell.replace('"', '""') + '"'
-        return cell
-    done = {cell: quote(cell) for cell in set(column)}
-    return [done[cell] for cell in column]
+    and the sole cell of their row.  A column with no such cell is
+    returned itself, not copied."""
+    def needs_quotes(cell: str) -> bool:
+        return any(c in cell for c in ',"\r\n') or (sole and not cell)
+    done = {cell: '"' + cell.replace('"', '""') + '"'
+            for cell in set(column) if needs_quotes(cell)}
+    if not done:
+        return column
+    return [done.get(cell, cell) for cell in column]
 
 
 def _write_csv(path: str, table: dict) -> None:

@@ -345,12 +345,12 @@ def _hybrid_fields(design: MotorDesign, source: HarmonicSource,
     phase = nk * x
     s, c = np.sin(phase), np.cos(phase)
     total = P + Q
-    psi = (total * s).sum(axis=-1)
-    hx = (-nk * total * c).sum(axis=-1)
-    hy = (-nk * (P - Q) * s).sum(axis=-1)
+    psi = np.vecdot(total, s)
+    hx = -np.vecdot(nk * total, c)
+    hy = np.vecdot(nk * (Q - P), s)
     if region == "II":
-        Mx = (source.M_xn * c).sum(axis=-1)
-        My = (source.M_yn * s).sum(axis=-1)
+        Mx = np.vecdot(source.M_xn, c)
+        My = np.vecdot(source.M_yn, s)
         return region, nk, s, psi, MU0 * hx, MU0 * (hy + My), hx - Mx, hy
     return region, nk, s, psi, MU0 * hx, MU0 * hy, hx, hy
 
@@ -392,19 +392,20 @@ def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoeffici
 
     Every row's region is checked first, so a height outside the domain
     raises before any point is evaluated.  `evaluator` is then called once
-    per point in row-major order, and its six values go straight into the
-    map's (6, ny, nx) block; no sample is kept, so the map costs 48 bytes
-    per point.
+    per point in row-major order, given its row's region so that no point
+    is classified again, and its six values go straight into the map's
+    (6, ny, nx) block; no sample is kept, so the map costs 48 bytes per
+    point.
     """
     xs = np.array(xs, dtype=float)
     ys = np.array(ys, dtype=float)
     heights, columns = ys.tolist(), xs.tolist()
     region = tuple(classify_region(design, y) for y in heights)
     values = np.empty((len(MAP_FIELDS), len(heights), len(columns)))
-    for j, y in enumerate(heights):
+    for j, (y, name) in enumerate(zip(heights, region)):
         row = values[:, j]
         for i, x in enumerate(columns):
-            s = evaluator(design, source, coeffs, x, y)
+            s = evaluator(design, source, coeffs, x, y, name)
             # numpy stores an undefined (None) potential as NaN
             row[:, i] = s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z
     for a in (xs, ys, values):

@@ -119,7 +119,7 @@ def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
     region, nk, s, psi, bx, by, hx, hy = _hybrid_fields(design, source, coeffs,
                                                         x, y, region)
     if region == "II":
-        psi += ((source.M_xn / nk) * s).sum(axis=-1)
+        psi += np.vecdot(source.M_xn / nk, s)
     return FieldSample(x, y, region, bx, by, hx, hy, psi, None)
 
 
@@ -134,13 +134,13 @@ def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
     phase = nk * x
     s, c = np.sin(phase), np.cos(phase)
     total = P + Q
-    Az = (total * c).sum(axis=-1)
-    Bx = (nk * (P - Q) * c).sum(axis=-1)
-    By = (nk * total * s).sum(axis=-1)
+    Az = np.vecdot(total, c)
+    Bx = np.vecdot(nk * (P - Q), c)
+    By = np.vecdot(nk * total, s)
     if region == "II":
-        Mx_t = (source.M_xn * c).sum(axis=-1)
-        My_t = (source.M_yn * s).sum(axis=-1)
-        Az += ((MU0 * source.M_yn / nk) * c).sum(axis=-1)
+        Mx_t = np.vecdot(source.M_xn, c)
+        My_t = np.vecdot(source.M_yn, s)
+        Az += np.vecdot(MU0 * source.M_yn / nk, c)
         By += MU0 * My_t
         return FieldSample(x, y, region, Bx, By,
                            Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)

@@ -457,25 +457,40 @@ def test_optimize_with_every_axis_fixed_scores_once(config_path, tmp_path,
     assert len(calls) == 2      # the coarse point and the final re-score
 
 
-def test_csv_writer_matches_csv_module(tmp_path):
-    table = {"x": np.array([0.1, -0.0, 1e-300, np.nan, np.inf, 3]),
-             "tag, \"quoted\"": ["a", "b,c", 'say "hi"', "two\nlines", "", "cr\r"],
-             "n": np.array([1.5, -2.25, 7, 0.0, -np.inf, 2 ** 0.5])}
-    path = tmp_path / "t.csv"
-    cli._write_csv(str(path), table)
+def _csv_module_bytes(table: dict) -> bytes:
+    """What csv.writer writes for a name -> column table, floats as %.17g."""
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)
     writer.writerow(list(table))
     writer.writerows(zip(*([c if isinstance(c, list) else
                             [format(v, ".17g") for v in np.asarray(c, dtype=float)]
                             for c in table.values()])))
-    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    return ref.getvalue().encode("utf-8")
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    table = {"x": np.array([0.1, -0.0, 1e-300, np.nan, np.inf, 3]),
+             "tag, \"quoted\"": ["a", "b,c", 'say "hi"', "two\nlines", "", "cr\r"],
+             "n": np.array([1.5, -2.25, 7, 0.0, -np.inf, 2 ** 0.5])}
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), table)
+    assert path.read_bytes() == _csv_module_bytes(table)
     # an empty sole cell is quoted, and rows past one chunk stream on
     long = {"s": ["", "x"] * (cli._CSV_CHUNK_ROWS + 3)}
     cli._write_csv(str(path), long)
-    ref = io.StringIO(newline="")
-    csv.writer(ref).writerows([["s"]] + [[c] for c in long["s"]])
-    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    assert path.read_bytes() == _csv_module_bytes(long)
+
+
+def test_csv_writer_does_not_copy_a_column_that_needs_no_quotes(tmp_path):
+    region = ["I", "II", "III", "II"] * (cli._CSV_CHUNK_ROWS // 2 + 1)
+    assert cli._quoted(region, False) is region
+    assert cli._quoted(region, True) is region
+    assert cli._quoted(["I", "a,b", "I"], False) == ["I", '"a,b"', "I"]
+    path = tmp_path / "t.csv"
+    for table in ({"x": np.arange(len(region)) / 3, "region": region},
+                  {"region": region}):
+        cli._write_csv(str(path), table)
+        assert path.read_bytes() == _csv_module_bytes(table)
 
 
 def test_sizing_outputs(config_path, tmp_path, capsys):

@@ -191,6 +191,27 @@ def test_field_map_row_major(table1, source, coeffs):
             assert getattr(fmap, name).ravel()[k] == getattr(s, name), (name, k)
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_field_map_gives_the_evaluator_each_rows_region(back_iron, trunc):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = solve_coefficients(design, src)
+    calls = []
+
+    def recording(design, source, coeffs, x, y, region):
+        calls.append((x, y, region))
+        return evaluate_fields(design, source, coeffs, x, y, region)
+
+    top = design.g_e + design.h_m
+    ys = [0.0, 0.5 * design.g_e, design.g_e, design.g_e + 0.5 * design.h_m, top]
+    if not back_iron:
+        ys.append(1.5 * top)
+    xs = [0.0, 0.013, 0.027]
+    fmap = field_map(design, src, coeffs, np.array(xs), np.array(ys), recording)
+    assert calls == [(x, y, classify_region(design, y)) for y in ys for x in xs]
+    assert fmap.region == tuple(classify_region(design, y) for y in ys)
+
+
 def test_field_map_checks_every_row_before_evaluating(table1_iron, trunc):
     src = fourier_coefficients(table1_iron, trunc)
     coeffs = solve_coefficients(table1_iron, src)

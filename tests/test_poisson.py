@@ -1,10 +1,12 @@
 """Alternative-formulation tests: the three models must agree everywhere."""
 
+import math
+
 import numpy as np
 import pytest
 
 from halmotor import laplace, poisson, verify
-from halmotor.config import HarmonicTruncation
+from halmotor.config import MU0, HarmonicTruncation
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import evaluate_fields, solve_coefficients
 from halmotor.poisson import (
@@ -104,6 +106,71 @@ def test_array_evaluation_matches_points(back_iron, trunc):
                             assert getattr(col, comp)[i] == want, comp
 
 
+def _field_terms(design, src, coeffs, model, x, y, region):
+    """Each field's per-harmonic terms, stated apart from the evaluators:
+    a field is the sum of its term arrays, taken over the harmonic (last)
+    axis; a potential the model does not define is None."""
+    _, nk, P, Q = laplace._region_terms(design, coeffs, y, region)
+    P = np.broadcast_to(P, np.shape(Q))   # region III has no growing term
+    s, c = np.sin(nk * x), np.cos(nk * x)
+    total = P + Q
+    inside = region == "II"
+    mx, my = ([-src.M_xn * c], [-src.M_yn * s]) if inside else ([], [])
+    if model == MODEL_VECTOR:
+        bx, by, az = [nk * (P - Q) * c], [nk * total * s], [total * c]
+        if inside:
+            by.append(MU0 * src.M_yn * s)
+            az.append(MU0 * src.M_yn / nk * c)
+        return {"B_x": bx, "B_y": by, "psi": None, "A_z": az,
+                "H_x": [t / MU0 for t in bx] + mx, "H_y": [t / MU0 for t in by] + my}
+    hx, hy, psi = [-nk * total * c], [nk * (Q - P) * s], [total * s]
+    by = [MU0 * t for t in hy]
+    if inside:
+        by.append(MU0 * src.M_yn * s)
+        if model == MODEL_SCALAR:
+            psi.append(src.M_xn / nk * s)
+    return {"B_x": [MU0 * t for t in hx], "B_y": by, "psi": psi, "A_z": None,
+            "H_x": hx + mx, "H_y": hy}
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_field_sums_round_within_a_few_ulps(back_iron, trunc):
+    """Each field of each evaluator, at points and along columns, equals the
+    exactly rounded sum (math.fsum) of its per-harmonic terms to within
+    1e-15 of their absolute sum: only the order of summation may differ.
+    Dropping the fundamental or the top harmonic from a sum moves it far
+    outside that bound; the face heights keep the top harmonic undamped."""
+    design = make_case(3, back_iron)
+    src = fourier_coefficients(design, trunc)
+    routes = [
+        (solve_coefficients(design, src), evaluate_fields, "laplace"),
+        (solve_scalar(design, src), evaluate_fields_scalar, MODEL_SCALAR),
+        (solve_vector(design, src), evaluate_fields_vector, MODEL_VECTOR),
+    ]
+    top = design.g_e + design.h_m
+    heights = {"I": [0.0, 0.3 * design.g_e, design.g_e],
+               "II": [design.g_e, design.g_e + 0.6 * design.h_m, top]}
+    if not back_iron:
+        heights["III"] = [top, 1.3 * top]
+    rng = np.random.default_rng(5)
+    for region, ys in heights.items():
+        xs = rng.uniform(0, design.lam, (len(ys), 1))
+        for coeffs, ev, model in routes:
+            col = ev(design, src, coeffs, xs, np.array(ys)[:, None], region)
+            for i, (x, y) in enumerate(zip(xs[:, 0].tolist(), ys)):
+                pt = ev(design, src, coeffs, x, y, region)
+                terms = _field_terms(design, src, coeffs, model, x, y, region)
+                for comp, parts in terms.items():
+                    if parts is None:
+                        continue
+                    flat = np.concatenate([np.broadcast_to(p, src.n.shape)
+                                           for p in parts]).tolist()
+                    want = math.fsum(flat)
+                    bound = 1e-15 * math.fsum(map(abs, flat))
+                    for got in (getattr(pt, comp), getattr(col, comp)[i]):
+                        assert abs(got - want) <= bound, (model, region, comp, y)
+
+
 def test_potentials_populated_per_model(table1, source):
     hybrid = solve_coefficients(table1, source)
     scalar = solve_scalar(table1, source)
@@ -176,7 +243,6 @@ def test_curl_identity_richardson(table1, source):
 def test_vector_map_scaling(coeffs):
     mapped = vector_from_hybrid(coeffs)
     # the x1 (A1) column flips sign and gains a mu0; x5 (B3) keeps its sign
-    from halmotor.config import MU0
     np.testing.assert_allclose(mapped.x1, -MU0 * coeffs.x1, rtol=1e-15)
     np.testing.assert_allclose(mapped.x2, MU0 * coeffs.x2, rtol=1e-15)
     np.testing.assert_allclose(mapped.x5, MU0 * coeffs.x5, rtol=1e-15)
