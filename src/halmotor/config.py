@@ -85,6 +85,8 @@ class MotorDesign:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidValue(name, f"{name} must be finite and positive, got {v!r}")
+        if not math.isfinite(self.phi_0):
+            raise InvalidValue("phi_0", f"phi_0 must be finite, got {self.phi_0!r}")
         if not isinstance(self.N_turns, int) or self.N_turns < 1:
             raise InvalidValue("N_turns",
                                f"N_turns must be an integer >= 1, got {self.N_turns!r}")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,16 +56,16 @@ _RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FieldCoefficients:
-    """Solved per-harmonic coefficients for one model and topology.
+    """Solved per-harmonic coefficients for one topology.
 
     x1..x5 are the equilibrated unknowns of the module docstring, one entry
-    per harmonic in `n`.  `x5` is None for the back-iron topology (region
-    III does not exist).
+    per harmonic in `n`, whose wavenumbers n k are `nk`.  `x5` is None for
+    the back-iron topology (region III does not exist).
     """
 
-    model: str
     back_iron: bool
     n: np.ndarray
+    nk: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     x3: np.ndarray
@@ -78,18 +79,14 @@ class FieldCoefficients:
         return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldSample:
-    """Field quantities at one point, or at a column of points in one region.
+class FieldSample(NamedTuple):
+    """The six map fields at one point, or along a column of points in one
+    region (each field then a 1-D array, one entry per row).
 
     psi is the scalar potential (A), A_z the vector potential (Wb/m); each
-    is None for models that do not define it.  For a column of points, x
-    and y are as passed and every field is a 1-D array, one entry per row.
+    is None for models that do not define it.
     """
 
-    x: float | np.ndarray
-    y: float | np.ndarray
-    region: str
     B_x: float | np.ndarray
     B_y: float | np.ndarray
     H_x: float | np.ndarray
@@ -98,7 +95,7 @@ class FieldSample:
     A_z: float | np.ndarray | None
 
 
-MAP_FIELDS = ("B_x", "B_y", "H_x", "H_y", "psi", "A_z")
+MAP_FIELDS = FieldSample._fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +222,10 @@ def _batch_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pack(design: MotorDesign, source: HarmonicSource, model: str,
+def _pack(design: MotorDesign, source: HarmonicSource,
           x: np.ndarray) -> FieldCoefficients:
     return FieldCoefficients(
-        model=model, back_iron=design.back_iron, n=source.n.copy(),
+        back_iron=design.back_iron, n=source.n.copy(), nk=source.n * design.k,
         x1=x[:, 0], x2=x[:, 1], x3=x[:, 2], x4=x[:, 3],
         x5=None if design.back_iron else x[:, 4])
 
@@ -257,7 +254,7 @@ def dense_coefficients(design: MotorDesign, source: HarmonicSource) -> FieldCoef
     """Batched dense solve of the same systems: the independent reference
     that the closed form is checked against (verify and the tests)."""
     A, rhs = _scaled_system(design, *_sources(design, source))
-    return _pack(design, source, "laplace", _batch_solve(A, rhs))
+    return _pack(design, source, _batch_solve(A, rhs))
 
 
 def closed_form_coefficients(design: MotorDesign,
@@ -296,7 +293,7 @@ def closed_form_coefficients(design: MotorDesign,
         x5 = (0.5 * S * (ed - ea * eb - 1 + eb ** 2)
               + 0.5 * K * (ed + ea * eb - 1 - eb ** 2))
         cols = [x1, x2, x3, x4, x5]
-    return _pack(design, source, "laplace", np.stack(cols, axis=1))
+    return _pack(design, source, np.stack(cols, axis=1))
 
 
 def classify_region(design: MotorDesign, y: float, coord: str = "y") -> str:
@@ -323,7 +320,7 @@ def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, y,
     """
     if region is None:
         region = classify_region(design, y)
-    nk = coeffs.n * design.k
+    nk = coeffs.nk
     top = design.g_e + design.h_m
     if region == "I":
         P = coeffs.x1 * np.exp(nk * (y - design.g_e))
@@ -338,21 +335,23 @@ def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, y,
 
 
 def _hybrid_fields(design: MotorDesign, source: HarmonicSource,
-                   coeffs: FieldCoefficients, x, y, region: str | None):
-    """(region, nk, sin nkx, psi, B_x, B_y, H_x, H_y) of the hybrid model, also
-    the scalar-Poisson model's B and H, since it shares the coefficients."""
+                   coeffs: FieldCoefficients, x, y, region: str | None,
+                   particular) -> FieldSample:
+    """The fields of the sheet-source potential, whose B and H the scalar-
+    Poisson model shares.  `particular` joins each harmonic's region-II psi
+    term before the one sum: 0.0 here, M_xn / nk for the scalar potential."""
     region, nk, P, Q = _region_terms(design, coeffs, y, region)
     phase = nk * x
     s, c = np.sin(phase), np.cos(phase)
     total = P + Q
-    psi = np.vecdot(total, s)
     hx = -np.vecdot(nk * total, c)
     hy = np.vecdot(nk * (Q - P), s)
     if region == "II":
         Mx = np.vecdot(source.M_xn, c)
         My = np.vecdot(source.M_yn, s)
-        return region, nk, s, psi, MU0 * hx, MU0 * (hy + My), hx - Mx, hy
-    return region, nk, s, psi, MU0 * hx, MU0 * hy, hx, hy
+        return FieldSample(MU0 * hx, MU0 * (hy + My), hx - Mx, hy,
+                           np.vecdot(total + particular, s), None)
+    return FieldSample(MU0 * hx, MU0 * hy, hx, hy, np.vecdot(total, s), None)
 
 
 def evaluate_fields(design: MotorDesign, source: HarmonicSource,
@@ -370,9 +369,7 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
     column and y a scalar or such a column, all in one named region; the
     sample's fields are then 1-D arrays.
     """
-    region, _, _, psi, bx, by, hx, hy = _hybrid_fields(design, source, coeffs,
-                                                       x, y, region)
-    return FieldSample(x, y, region, bx, by, hx, hy, psi, None)
+    return _hybrid_fields(design, source, coeffs, x, y, region, 0.0)
 
 
 def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
@@ -405,9 +402,8 @@ def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoeffici
     for j, (y, name) in enumerate(zip(heights, region)):
         row = values[:, j]
         for i, x in enumerate(columns):
-            s = evaluator(design, source, coeffs, x, y, name)
             # numpy stores an undefined (None) potential as NaN
-            row[:, i] = s.B_x, s.B_y, s.H_x, s.H_y, s.psi, s.A_z
+            row[:, i] = evaluator(design, source, coeffs, x, y, name)
     for a in (xs, ys, values):
         a.setflags(write=False)
     return FieldMap(xs, ys, region, *values)

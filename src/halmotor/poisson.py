@@ -21,8 +21,6 @@ of the package's standing self-checks.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .config import MU0, MotorDesign
@@ -85,7 +83,7 @@ def solve_scalar(design: MotorDesign, source: HarmonicSource) -> FieldCoefficien
     Since M_xn = -k_n and M_yn = -sigma_n / mu0 these are the hybrid rows
     (the back-iron row only changes sign), so the solutions coincide.
     """
-    return dataclasses.replace(solve_coefficients(design, source), model=MODEL_SCALAR)
+    return solve_coefficients(design, source)
 
 
 def solve_vector(design: MotorDesign, source: HarmonicSource) -> FieldCoefficients:
@@ -95,13 +93,13 @@ def solve_vector(design: MotorDesign, source: HarmonicSource) -> FieldCoefficien
     rhs = np.stack([z, My, -Mx, Mx] if design.back_iron else [z, My, -Mx, -My, Mx],
                    axis=1)
     A = _unit_columns(lambda x: _rows_vector(design, nk, x), rhs.shape[1])
-    return _pack(design, source, MODEL_VECTOR, _batch_solve(A, rhs))
+    return _pack(design, source, _batch_solve(A, rhs))
 
 
 def vector_from_hybrid(coeffs: FieldCoefficients) -> FieldCoefficients:
     """The closed-form map from hybrid to vector-potential coefficients."""
     return FieldCoefficients(
-        model=MODEL_VECTOR, back_iron=coeffs.back_iron, n=coeffs.n.copy(),
+        back_iron=coeffs.back_iron, n=coeffs.n.copy(), nk=coeffs.nk.copy(),
         x1=-MU0 * coeffs.x1, x2=MU0 * coeffs.x2,
         x3=-MU0 * coeffs.x3, x4=MU0 * coeffs.x4,
         x5=None if coeffs.x5 is None else MU0 * coeffs.x5)
@@ -113,14 +111,12 @@ def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
     """Physical fields from the scalar-Poisson potential.
 
     The coefficients are the hybrid solution, so B and H are the hybrid
-    ones; psi adds the particular term sum (M_xn / nk) sin nkx in region
-    II.  x and y may be column arrays, as for `laplace.evaluate_fields`.
+    ones; psi carries the particular term (M_xn / nk) sin nkx in region
+    II, added to each harmonic's coefficient before the one sum.  x and y
+    may be column arrays, as for `laplace.evaluate_fields`.
     """
-    region, nk, s, psi, bx, by, hx, hy = _hybrid_fields(design, source, coeffs,
-                                                        x, y, region)
-    if region == "II":
-        psi += np.vecdot(source.M_xn / nk, s)
-    return FieldSample(x, y, region, bx, by, hx, hy, psi, None)
+    return _hybrid_fields(design, source, coeffs, x, y, region,
+                          source.M_xn / coeffs.nk)
 
 
 def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
@@ -142,6 +138,5 @@ def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
         My_t = np.vecdot(source.M_yn, s)
         Az += np.vecdot(MU0 * source.M_yn / nk, c)
         By += MU0 * My_t
-        return FieldSample(x, y, region, Bx, By,
-                           Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)
-    return FieldSample(x, y, region, Bx, By, Bx / MU0, By / MU0, None, Az)
+        return FieldSample(Bx, By, Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)
+    return FieldSample(Bx, By, Bx / MU0, By / MU0, None, Az)

@@ -85,7 +85,7 @@ def _lines(design: MotorDesign, coeffs: FieldCoefficients):
     the imaginary part that of A_z, both times -1 / (2 mu0).  A1 sinh is
     x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2, so it cannot overflow.
     """
-    nk = coeffs.n * design.k
+    nk = coeffs.nk
     A1_sinh = 0.5 * coeffs.x1 * (np.exp(nk * (design.h_c - design.g_e))
                                  - np.exp(-nk * (design.h_c + design.g_e)))
     slot = coeffs.n * (np.pi / design.N_ph)

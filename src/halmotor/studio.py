@@ -154,10 +154,12 @@ def stage_metrics(design: MotorDesign, stage: StageSpec,
 
 def objective(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
               metrics: StageMetrics) -> float:
-    """a^alpha / P_cu^beta, extended by the optional denominator factors."""
+    """a^alpha / P_cu^beta, extended by the optional denominator factors;
+    formed in np.float64, so an overflow or a zero denominator follows the
+    caller's np.errstate rather than raising a Python arithmetic error."""
     if metrics.p_cu <= 0:
         raise ZeroLoss("copper loss is zero; objective undefined")
-    score = metrics.a ** obj.alpha / metrics.p_cu ** obj.beta
+    score = np.float64(metrics.a) ** obj.alpha / np.float64(metrics.p_cu) ** obj.beta
     for w, value, name in ((obj.w_thd, metrics.thd, "THD"),
                            (obj.w_ripple, metrics.ripple_pct, "ripple"),
                            (obj.w_cost, obj.cost_drive, "drive cost")):
@@ -166,8 +168,8 @@ def objective(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
                 raise ValueError(f"objective needs {name} but it was not evaluated")
             if value <= 0:
                 raise ZeroLoss(f"{name} is zero; extended objective undefined")
-            score /= value ** w
-    return score
+            score /= np.float64(value) ** w
+    return float(score)
 
 
 def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,

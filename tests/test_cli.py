@@ -550,6 +550,39 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, key, value):
     assert not out.exists()  # no CSV and no manifest.json
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["force", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_phase_offset_exits_2(tmp_path, capsys, command, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG_TEXT + f"phi0_rad = {value}\n")
+    extra = ["--axis", "h_c=0.003:0.005:2"] if command == "sweep" else []
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: config key 'phi0_rad': phi_0 must be finite, got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "400"),      # a^alpha overflows
+    ("--beta", "1e308"),     # P_cu^beta overflows
+    ("--w-thd", "1000"),     # THD^w underflows to a zero denominator
+])
+def test_objective_overflow_is_physics_failure(config_path, tmp_path, capsys,
+                                               flag, value):
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--config", str(config_path), "--out", str(out),
+                   "--axis", "h_c=0.003:0.005:2", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("physics failure: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_version_has_one_source():
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     root = Path(__file__).resolve().parents[1]

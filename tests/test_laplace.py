@@ -186,7 +186,7 @@ def test_field_map_row_major(table1, source, coeffs):
     points = [(x, y) for y in ys for x in xs]
     for k, (x, y) in enumerate(points):
         s = evaluate_fields(table1, source, coeffs, x, y)
-        assert fmap.region[k // 2] == s.region
+        assert fmap.region[k // 2] == classify_region(table1, y)
         for name in ("B_x", "B_y", "H_x", "H_y", "psi"):
             assert getattr(fmap, name).ravel()[k] == getattr(s, name), (name, k)
 
