@@ -38,10 +38,20 @@ no truncation order overflows.
 `solve_coefficients` takes the unknowns from their closed form and holds
 them to the equilibrated rows (`_rows`); `dense_coefficients` solves the
 same rows as matrices and is kept only as the independent reference.
+
+Every field is separable, sum_n w_n(y) {sin, cos}(nkx), so each point
+evaluator runs in two stages.  The height stage (`_hybrid_weights` here,
+`poisson._vector_weights` for the vector route) turns the region terms
+at y into one stack of per-harmonic weights per trig family; the point
+stage (`_point_sums`) forms sin and cos nkx and reduces each stack with
+one vecdot.  Inside `field_map` a row's height stage is formed once and
+reused for the row's other points; outside a map nothing is kept.
 """
 from __future__ import annotations
 
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -299,6 +309,8 @@ def closed_form_coefficients(design: MotorDesign,
 def classify_region(design: MotorDesign, y: float, coord: str = "y") -> str:
     """The region of height y; `coord` names y in the out-of-domain error."""
     top = design.g_e + design.h_m
+    if y != y:
+        raise OutOfDomain(coord, y, "not a number")
     if y < 0:
         raise OutOfDomain(coord, y, "below the stator face y = 0")
     if y < design.g_e:
@@ -334,24 +346,92 @@ def _region_terms(design: MotorDesign, coeffs: FieldCoefficients, y,
     return region, nk, P, Q
 
 
+# one dict per running field_map: height stage -> its last call and result;
+# a context variable, so a map in another thread keeps its own
+_MAP_SCOPE: ContextVar[dict | None] = ContextVar("field_map_scope", default=None)
+
+
+def _reused_in_map(stage):
+    """Wrap a height stage so that inside one `field_map` it is formed once
+    per row.
+
+    A call whose design, source and coeffs are the objects of the stage's
+    previous call in the same map, by identity, and whose height (a float)
+    and region are equal to that call's, returns that call's result.  The
+    entry holds the three objects, so none of their ids can be reused while
+    it lives, and it goes with the map.  Outside a map every call computes.
+    """
+    @functools.wraps(stage)
+    def stage_once(design, source, coeffs, y, region):
+        memo = _MAP_SCOPE.get()
+        if memo is None or type(y) is not float:
+            return stage(design, source, coeffs, y, region)
+        last = memo.get(stage)
+        if (last is not None and last[0] is design and last[1] is source
+                and last[2] is coeffs and last[3] == y and last[4] == region):
+            return last[5]
+        result = stage(design, source, coeffs, y, region)
+        memo[stage] = (design, source, coeffs, y, region, result)
+        return result
+
+    return stage_once
+
+
+@_reused_in_map
+def _hybrid_weights(design: MotorDesign, source: HarmonicSource,
+                    coeffs: FieldCoefficients, y, region: str | None):
+    """Height stage of the hybrid and scalar-Poisson evaluators.
+
+    Returns (region, Ws, Wc): the per-harmonic weights (last axis) of every
+    field sum at height y, stacked on axis -2, Ws for the sums against
+    sin nkx and Wc for those against cos nkx:
+
+        Ws: nk (Q - P) for H_y, P + Q for the sheet psi, and in region II
+            P + Q + M_xn / nk for the scalar-Poisson psi and M_yn;
+        Wc: -nk (P + Q) for H_x, and in region II M_xn.
+
+    The scalar-Poisson particular term is added to each harmonic's weight
+    before the one sum: summed apart, the two series cancel and keep about
+    three times the rounding.  y and region are as for `_region_terms`.
+    """
+    region, nk, P, Q = _region_terms(design, coeffs, y, region)
+    total = P + Q
+    sin_rows = [nk * (Q - P), total]
+    cos_rows = [-nk * total]
+    if region == "II":
+        sin_rows += [total + source.M_xn / nk, source.M_yn]
+        cos_rows.append(source.M_xn)
+    return region, _stacked(sin_rows), _stacked(cos_rows)
+
+
+def _stacked(rows) -> np.ndarray:
+    """Weight rows stacked on axis -2, each broadcast to the widest one (the
+    magnetization rows depend on the harmonic alone)."""
+    return np.stack(np.broadcast_arrays(*rows), axis=-2)
+
+
+def _point_sums(coeffs: FieldCoefficients, x, Ws: np.ndarray, Wc: np.ndarray):
+    """Point stage: every weight row summed against sin nkx (Ws) or cos nkx
+    (Wc), as two stacks with the rows first (indexing a row is far cheaper
+    than unpacking the stack).  x is a scalar or an (m, 1) column; point
+    and column calls run this same code, so they agree bit for bit."""
+    phase = coeffs.nk * x
+    return (np.vecdot(Ws, np.sin(phase)[..., None, :]).T,
+            np.vecdot(Wc, np.cos(phase)[..., None, :]).T)
+
+
 def _hybrid_fields(design: MotorDesign, source: HarmonicSource,
                    coeffs: FieldCoefficients, x, y, region: str | None,
-                   particular) -> FieldSample:
+                   scalar: bool) -> FieldSample:
     """The fields of the sheet-source potential, whose B and H the scalar-
-    Poisson model shares.  `particular` joins each harmonic's region-II psi
-    term before the one sum: 0.0 here, M_xn / nk for the scalar potential."""
-    region, nk, P, Q = _region_terms(design, coeffs, y, region)
-    phase = nk * x
-    s, c = np.sin(phase), np.cos(phase)
-    total = P + Q
-    hx = -np.vecdot(nk * total, c)
-    hy = np.vecdot(nk * (Q - P), s)
+    Poisson model shares; `scalar` picks that model's region-II psi."""
+    region, Ws, Wc = _hybrid_weights(design, source, coeffs, y, region)
+    sin_sums, cos_sums = _point_sums(coeffs, x, Ws, Wc)
+    hy, hx = sin_sums[0], cos_sums[0]
     if region == "II":
-        Mx = np.vecdot(source.M_xn, c)
-        My = np.vecdot(source.M_yn, s)
-        return FieldSample(MU0 * hx, MU0 * (hy + My), hx - Mx, hy,
-                           np.vecdot(total + particular, s), None)
-    return FieldSample(MU0 * hx, MU0 * hy, hx, hy, np.vecdot(total, s), None)
+        return FieldSample(MU0 * hx, MU0 * (hy + sin_sums[3]), hx - cos_sums[1],
+                           hy, sin_sums[2 if scalar else 1], None)
+    return FieldSample(MU0 * hx, MU0 * hy, hx, hy, sin_sums[1], None)
 
 
 def evaluate_fields(design: MotorDesign, source: HarmonicSource,
@@ -369,7 +449,7 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
     column and y a scalar or such a column, all in one named region; the
     sample's fields are then 1-D arrays.
     """
-    return _hybrid_fields(design, source, coeffs, x, y, region, 0.0)
+    return _hybrid_fields(design, source, coeffs, x, y, region, False)
 
 
 def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
@@ -393,17 +473,28 @@ def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoeffici
     is classified again, and its six values go straight into the map's
     (6, ny, nx) block; no sample is kept, so the map costs 48 bytes per
     point.
+
+    For the length of the loop the map opens a reuse scope: the three
+    evaluators' height stages (`_hybrid_weights`, `poisson._vector_weights`)
+    then form each row's weights once and hand them to the row's other
+    points, as long as the call's design, source and coeffs are the map's
+    objects and its height and region are the row's.  The scope holds one
+    entry per stage and closes with the map.
     """
     xs = np.array(xs, dtype=float)
     ys = np.array(ys, dtype=float)
     heights, columns = ys.tolist(), xs.tolist()
     region = tuple(classify_region(design, y) for y in heights)
     values = np.empty((len(MAP_FIELDS), len(heights), len(columns)))
-    for j, (y, name) in enumerate(zip(heights, region)):
-        row = values[:, j]
-        for i, x in enumerate(columns):
-            # numpy stores an undefined (None) potential as NaN
-            row[:, i] = evaluator(design, source, coeffs, x, y, name)
+    scope = _MAP_SCOPE.set({})
+    try:
+        for j, (y, name) in enumerate(zip(heights, region)):
+            row = values[:, j]
+            for i, x in enumerate(columns):
+                # numpy stores an undefined (None) potential as NaN
+                row[:, i] = evaluator(design, source, coeffs, x, y, name)
+    finally:
+        _MAP_SCOPE.reset(scope)
     for a in (xs, ys, values):
         a.setflags(write=False)
     return FieldMap(xs, ys, region, *values)

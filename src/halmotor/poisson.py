@@ -31,7 +31,10 @@ from .laplace import (
     _batch_solve,
     _hybrid_fields,
     _pack,
+    _point_sums,
     _region_terms,
+    _reused_in_map,
+    _stacked,
     _unit_columns,
     solve_coefficients,
 )
@@ -115,8 +118,32 @@ def evaluate_fields_scalar(design: MotorDesign, source: HarmonicSource,
     II, added to each harmonic's coefficient before the one sum.  x and y
     may be column arrays, as for `laplace.evaluate_fields`.
     """
-    return _hybrid_fields(design, source, coeffs, x, y, region,
-                          source.M_xn / coeffs.nk)
+    return _hybrid_fields(design, source, coeffs, x, y, region, True)
+
+
+@_reused_in_map
+def _vector_weights(design: MotorDesign, source: HarmonicSource,
+                    coeffs: FieldCoefficients, y, region: str | None):
+    """Height stage of the vector-potential evaluator, as
+    `laplace._hybrid_weights` is of the hybrid ones.
+
+    Returns (region, Ws, Wc), the per-harmonic weights at height y stacked
+    on axis -2:
+
+        Ws: nk (P + Q) for B_y, and in region II M_yn;
+        Wc: P + Q for A_z, with the particular term mu0 M_yn / nk added to
+            each harmonic in region II; nk (P - Q) for B_x; and in region
+            II M_xn.
+    """
+    region, nk, P, Q = _region_terms(design, coeffs, y, region)
+    total = P + Q
+    sin_rows = [nk * total]
+    cos_rows = [total, nk * (P - Q)]
+    if region == "II":
+        sin_rows.append(source.M_yn)
+        cos_rows[0] = total + MU0 * source.M_yn / nk
+        cos_rows.append(source.M_xn)
+    return region, _stacked(sin_rows), _stacked(cos_rows)
 
 
 def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
@@ -126,17 +153,11 @@ def evaluate_fields_vector(design: MotorDesign, source: HarmonicSource,
 
     x and y may be column arrays, as for `laplace.evaluate_fields`.
     """
-    region, nk, P, Q = _region_terms(design, coeffs, y, region)
-    phase = nk * x
-    s, c = np.sin(phase), np.cos(phase)
-    total = P + Q
-    Az = np.vecdot(total, c)
-    Bx = np.vecdot(nk * (P - Q), c)
-    By = np.vecdot(nk * total, s)
+    region, Ws, Wc = _vector_weights(design, source, coeffs, y, region)
+    sin_sums, cos_sums = _point_sums(coeffs, x, Ws, Wc)
+    By, Az, Bx = sin_sums[0], cos_sums[0], cos_sums[1]
     if region == "II":
-        Mx_t = np.vecdot(source.M_xn, c)
-        My_t = np.vecdot(source.M_yn, s)
-        Az += np.vecdot(MU0 * source.M_yn / nk, c)
-        By += MU0 * My_t
-        return FieldSample(Bx, By, Bx / MU0 - Mx_t, By / MU0 - My_t, None, Az)
+        My = sin_sums[1]
+        By = By + MU0 * My
+        return FieldSample(Bx, By, Bx / MU0 - cos_sums[2], By / MU0 - My, None, Az)
     return FieldSample(Bx, By, Bx / MU0, By / MU0, None, Az)

@@ -311,9 +311,12 @@ def optimize(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 
 
 def initial_sizing(B_av: float, J_av: float, design: MotorDesign) -> SizingResult:
-    """Rule-of-thumb shear stress, unit-cell force, and loss density."""
+    """Rule-of-thumb shear stress, unit-cell force, and loss density;
+    formed in np.float64, so an overflow follows the caller's np.errstate
+    rather than giving inf or raising a Python arithmetic error."""
     if B_av <= 0 or J_av <= 0:
         raise ValueError("sizing inputs must be positive")
+    J_av = np.float64(J_av)
     tau_av = design.h_c * J_av * B_av
     return SizingResult(tau_av, design.lam * design.L * tau_av,
                         J_av ** 2 / design.sigma_cu)

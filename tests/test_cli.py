@@ -379,6 +379,38 @@ def test_interface_jumps_catch_flipped_region_two_term(monkeypatch, trunc,
     assert not verify.check_interface_jumps(design, src, coeffs).passed
 
 
+@pytest.mark.parametrize("model", ["laplace", poisson.MODEL_SCALAR,
+                                   poisson.MODEL_VECTOR])
+def test_fault_planted_between_two_maps_shows_in_the_second(monkeypatch, trunc,
+                                                            model):
+    """The height reuse closes with each map: a second map of the very same
+    objects runs the planted kernel, not the first map's weights, even on a
+    first row that repeats the first map's last."""
+    design = make_case(2, False)
+    src = fourier_coefficients(design, trunc)
+    solve, evaluator = cli._MODELS[model]
+    coeffs = solve(design, src)
+    xs = np.array([0.0, 0.011, 0.027])
+    inside = design.g_e + 0.5 * design.h_m
+    ys = np.array([inside, 0.3 * design.g_e, inside])
+
+    def field_map():
+        return laplace.field_map(design, src, coeffs, xs, ys, evaluator)
+
+    clean = field_map()
+
+    def flip_x4(design, coeffs, y, region, nk, P, Q):
+        return region, nk, P, -Q if region == "II" else Q
+
+    _plant_in_kernel(monkeypatch, flip_x4)
+    faulty = field_map()
+    assert _bits(faulty.B_x[1]).tolist() == _bits(clean.B_x[1]).tolist()
+    for j in (0, 2):
+        assert not np.isclose(faulty.B_x[j], clean.B_x[j]).any()
+        for i, x in enumerate(xs.tolist()):
+            assert faulty.B_x[j, i] == evaluator(design, src, coeffs, x, inside).B_x
+
+
 def test_fd_midgap_catches_wrong_region_one_exponent(monkeypatch, trunc):
     design = make_case(2, False)
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
@@ -504,6 +536,18 @@ def test_sizing_outputs(config_path, tmp_path, capsys):
     assert len(rows) == 1
     assert float(rows[0]["tau_av_N_per_m2"]) == 20000.0
     assert float(rows[0]["f_av_N"]) == 32.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j_av", ["1e5", "1e308"])
+def test_sizing_overflow_is_physics_failure(config_path, tmp_path, capsys, j_av):
+    # the shear stress overflows at either current density, and the loss
+    # density too at 1e308: no inf reaches sizing.csv, no OverflowError escapes
+    out = tmp_path / "sizing"
+    assert cli.main(["sizing", "--config", str(config_path), "--out", str(out),
+                     "--b-av", "1e308", "--j-av", j_av]) == 1
+    assert capsys.readouterr().err.startswith("physics failure: overflow")
+    assert not out.exists()
 
 
 def test_nmax_override_recorded(config_path, tmp_path):

@@ -122,6 +122,23 @@ def test_region_classification(table1, table1_iron):
         classify_region(table1_iron, top + 1e-9)
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_nan_height_is_out_of_domain(back_iron, trunc):
+    # a NaN compares false with every face, which once read as region III
+    # (or "beyond the back iron") and gave NaN samples without an error
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = solve_coefficients(design, src)
+    with pytest.raises(OutOfDomain, match=r"^--ymax = nan .*\(not a number\)$"):
+        classify_region(design, math.nan, "--ymax")
+    for call in (lambda: classify_region(design, math.nan),
+                 lambda: evaluate_fields(design, src, coeffs, 0.01, math.nan),
+                 lambda: field_map(design, src, coeffs, [0.0, 0.01],
+                                   [0.5 * design.g_e, math.nan])):
+        with pytest.raises(OutOfDomain, match=r"^y = nan .*\(not a number\)$"):
+            call()
+
+
 def test_open_field_decays_above_array(table1, source, coeffs):
     top = table1.g_e + table1.h_m
     mags = [abs(evaluate_fields(table1, source, coeffs, 0.013, top + dy).B_y)

@@ -1,5 +1,6 @@
 """Alternative-formulation tests: the three models must agree everywhere."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,99 @@ def test_array_evaluation_matches_points(back_iron, trunc):
                             assert getattr(col, comp)[i] == want, comp
 
 
+def _routes(design, src):
+    return [(solve_coefficients(design, src), evaluate_fields),
+            (solve_scalar(design, src), evaluate_fields_scalar),
+            (solve_vector(design, src), evaluate_fields_vector)]
+
+
+def _assert_same(sample, column, i):
+    """Every field of a point sample equals entry i of a column sample,
+    bit for bit, and both leave the same potential undefined."""
+    for comp in laplace.MAP_FIELDS:
+        want = getattr(sample, comp)
+        if want is None:
+            assert getattr(column, comp) is None, comp
+        else:
+            assert getattr(column, comp)[i] == want, comp
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_interleaved_point_calls_match_columns(back_iron, trunc):
+    """Point calls that alternate heights and force both one-sided regions
+    at y = g_e get each call's own weights, outside a map and inside one,
+    where the map's rows sit at g_e in region II."""
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    g, mid = design.g_e, design.g_e + 0.5 * design.h_m
+    calls = [(g, "I"), (g, "II"), (0.4 * g, None), (g, "II"), (g, "I"),
+             (mid, None), (g, "I")]
+    xs = np.random.default_rng(11).uniform(0, design.lam, (len(calls), 1))
+    for coeffs, ev in _routes(design, src):
+        for i, (y, region) in enumerate(calls):
+            _assert_same(ev(design, src, coeffs, xs[i, 0].item(), y, region),
+                         ev(design, src, coeffs, xs, y, region), i)
+        below = []
+
+        def both_sides(design, source, coeffs, x, y, region):
+            below.append(ev(design, source, coeffs, x, y, "I"))
+            return ev(design, source, coeffs, x, y, region)
+
+        fmap = laplace.field_map(design, src, coeffs, xs[:, 0], [g, g], both_sides)
+        assert fmap.region == ("II", "II")
+        col_i, col_ii = (ev(design, src, coeffs, xs, g, r) for r in ("I", "II"))
+        for i in range(len(xs)):
+            for k in (i, len(xs) + i):
+                _assert_same(below[k], col_i, i)
+            for j in (0, 1):
+                sample = [getattr(fmap, c)[j, i] for c in laplace.MAP_FIELDS]
+                for got, want in zip(sample, col_ii):
+                    if want is None:
+                        assert np.isnan(got)
+                    else:
+                        assert got == want[i]
+        assert not np.isclose(col_i.B_x, col_ii.B_x).any()   # B_x jumps at g_e
+
+
+@pytest.mark.parametrize("changed", ["coeffs", "source", "design"])
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_map_reuse_keeps_evaluation_sets_apart(back_iron, trunc, changed):
+    """An evaluator that evaluates two sets of (design, source, coeffs) at
+    every map point, the sets differing in one object, gets each set's own
+    fields: the height reuse is keyed on all three objects."""
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    top = design.g_e + design.h_m
+    ys = [0.5 * design.g_e, design.g_e + 0.5 * design.h_m, top]
+    if not back_iron:
+        ys.append(1.5 * top)
+    xs = [0.0, 0.013, 0.027]
+    for coeffs, ev in _routes(design, src):
+        other = {"design": design, "source": src, "coeffs": coeffs}
+        other[changed] = {
+            "coeffs": lambda: dataclasses.replace(coeffs, x3=-coeffs.x3),
+            "source": lambda: dataclasses.replace(src, k_n=2 * src.k_n,
+                                                  sigma_n=2 * src.sigma_n),
+            "design": lambda: dataclasses.replace(design, h_m=1.1 * design.h_m),
+        }[changed]()
+        seen = []
+
+        def two_sets(design, source, coeffs, x, y, region):
+            seen.append(ev(*other.values(), x, y, region))
+            return ev(design, source, coeffs, x, y, region)
+
+        fmap = laplace.field_map(design, src, coeffs, xs, ys, two_sets)
+        points = [(x, y, r) for y, r in zip(ys, fmap.region) for x in xs]
+        for k, (x, y, region) in enumerate(points):
+            want = ev(design, src, coeffs, x, y, region)
+            assert seen[k] == ev(*other.values(), x, y, region)
+            assert fmap.B_x.ravel()[k] == want.B_x
+            assert fmap.H_x.ravel()[k] == want.H_x
+        # the sets differ in region II, so a leak either way would show
+        k = len(xs) + 1
+        assert seen[k].H_x != fmap.H_x.ravel()[k]
+
+
 def _field_terms(design, src, coeffs, model, x, y, region):
     """Each field's per-harmonic terms, stated apart from the evaluators:
     a field is the sum of its term arrays, taken over the harmonic (last)
@@ -186,6 +280,25 @@ def test_scalar_region_two_psi_is_one_sum(table1, source):
         want.append([math.fsum(r) for r in np.concatenate(parts, axis=1).tolist()])
     got, want = np.array(got), np.array(want)
     assert np.abs(got - want).max() <= 1.5e-15 * np.abs(want).max()
+
+
+def test_vector_region_two_az_is_one_sum(table1, source):
+    """Region-II A_z of the vector route adds the particular term
+    mu0 M_yn / nk to each harmonic's coefficient before the one sum; on
+    this 256x128 map it then stays within 1e-15 of the band's largest
+    |A_z| of the exactly rounded sum (5.2e-16; summed apart, 7.7e-16)."""
+    coeffs = solve_vector(table1, source)
+    nx, ny = 256, 128
+    xs = (np.arange(nx) * table1.lam / nx)[:, None]
+    got, want = [], []
+    for y in np.linspace(0.0, table1.g_e + table1.h_m, ny).tolist():
+        if laplace.classify_region(table1, y) != "II":
+            continue
+        got.append(evaluate_fields_vector(table1, source, coeffs, xs, y, "II").A_z)
+        parts = _field_terms(table1, source, coeffs, MODEL_VECTOR, xs, y, "II")["A_z"]
+        want.append([math.fsum(r) for r in np.concatenate(parts, axis=1).tolist()])
+    got, want = np.array(got), np.array(want)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_potentials_populated_per_model(table1, source):
