@@ -14,20 +14,20 @@ sheet sources at the array faces land on the grid with their dipole
 moments intact, which preserves second-order convergence.
 
 The face values factor into an x profile times a y band fraction, so the
-right-hand side has rank two and `FdGrid` keeps only the 1-D factors (the
-face arrays are built on demand).  The linear system is solved directly:
-the x transform of the source is a rank-two product of two 1-D FFTs, a
-real-valued Thomas sweep solves each x mode in y, and one inverse FFT per
-y row gives psi row-major, (ny+1, nx), handed out as its (nx, ny+1)
-transpose view.  The residual contract is checked after the fact, in
-blocks of rows, against the same factors.  With back iron the M_y band
-is extended through the wall: the iron face is an equipotential, and
-stopping the band there would plant a spurious half-sheet on the
-boundary row.
+right-hand side has rank two and `FdGrid` keeps only the 1-D factors.  The
+linear system is solved directly: the x transform of the source is a
+rank-two product of two 1-D FFTs, a real-valued Thomas sweep solves each x
+mode in y, and one inverse FFT per y row gives psi row-major, (ny+1, nx),
+handed out as its (nx, ny+1) transpose view.  The residual contract is
+checked after the fact, in blocks of rows, against the same factors.  With
+back iron the M_y band is extended through the wall: the iron face is an
+equipotential, and stopping the band there would plant a spurious
+half-sheet on the boundary row.
 
-The Lorentz-force check deposits the slot currents the same way, as exact
-cell averages of `config.slot_current_profile`, which also owns the slot
-layout.
+The runtime oracle is this solve plus `midgap_comparison`, which holds
+the grid's mid-airgap B_y against the analytic series.  The node fields,
+face fluxes and Lorentz-force check on the same grid are test references
+(`tests/references.py`).
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MU0, HarmonicTruncation, MotorDesign, slot_current_profile
+from .config import MU0, MotorDesign
 from .errors import NoConvergence, UnresolvedGrid
-from .halbach import fourier_coefficients, magnetization_steps
-from .laplace import FieldCoefficients, airgap_B_y, solve_coefficients
+from .halbach import magnetization_steps
+from .laplace import FieldCoefficients, airgap_B_y
 
 _RESIDUAL_CONTRACT = 1e-10
 _MIN_CELLS_PER_ARRAY = 16
@@ -55,32 +55,12 @@ class FdGrid:
     ny: int
     dx: float
     dy: float
-    y_max: float
-    back_iron: bool
     psi: np.ndarray
     mx_x: np.ndarray    # M_x on the x-faces is mx_x (nx,) times mx_y (ny+1,)
     mx_y: np.ndarray
     my_x: np.ndarray    # M_y on the y-faces is my_x (nx,) times my_y (ny,)
     my_y: np.ndarray
     residual: float
-
-    @property
-    def mx_face(self) -> np.ndarray:
-        return self.mx_x[:, None] * self.mx_y[None, :]
-
-    @property
-    def my_face(self) -> np.ndarray:
-        return self.my_x[:, None] * self.my_y[None, :]
-
-
-@dataclass(frozen=True)
-class FdFieldMap:
-    """Node-sampled fields: H from central differences, B = mu0 (H + M)."""
-
-    H_x: np.ndarray
-    H_y: np.ndarray
-    B_x: np.ndarray
-    B_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,15 +71,6 @@ class MidgapReport:
     b_fd: np.ndarray
     b_analytic: np.ndarray
     max_rel_err: float
-
-
-@dataclass(frozen=True)
-class ForceCheck:
-    """FD Lorentz-force quadrature against the closed-form thrust."""
-
-    f_fd: float
-    f_analytic: float
-    rel_gap: float
 
 
 def _band_fraction(y_centers: np.ndarray, dy: float, lo: float,
@@ -147,8 +118,7 @@ def solve_scalar_poisson(design: MotorDesign, nx: int = 1024,
     res = _relative_residual(psi_rows, x_src, y_src, dx, dy)
     if res > _RESIDUAL_CONTRACT:
         raise NoConvergence(f"final residual {res:.3e} exceeds {_RESIDUAL_CONTRACT:g}")
-    return FdGrid(nx, ny, dx, dy, y_max, design.back_iron, psi_rows.T,
-                  fx, fy_node, ay, phi, res)
+    return FdGrid(nx, ny, dx, dy, psi_rows.T, fx, fy_node, ay, phi, res)
 
 
 def _thomas(r_hat: np.ndarray, nx: int, dx: float, dy: float) -> None:
@@ -196,53 +166,6 @@ def _relative_residual(psi_rows: np.ndarray, x_src: np.ndarray,
     return float(np.sqrt(err / norm))
 
 
-def fd_fields(design: MotorDesign, grid: FdGrid) -> FdFieldMap:
-    """Node fields; H_y is one-sided (second order) on the two walls."""
-    psi, dx, dy = grid.psi, grid.dx, grid.dy
-    H_x = -(np.roll(psi, -1, 0) - np.roll(psi, 1, 0)) / (2 * dx)
-    H_y = np.empty_like(psi)
-    H_y[:, 1:-1] = -(psi[:, 2:] - psi[:, :-2]) / (2 * dy)
-    H_y[:, 0] = -(-3 * psi[:, 0] + 4 * psi[:, 1] - psi[:, 2]) / (2 * dy)
-    H_y[:, -1] = (-3 * psi[:, -1] + 4 * psi[:, -2] - psi[:, -3]) / (2 * dy)
-
-    ge = design.g_e
-    top = ge + design.h_m
-    m_x, m_y = magnetization_steps(design)
-    xi = np.arange(grid.nx) * dx
-    ax = m_x.average(xi - dx / 2, xi + dx / 2)
-    ay = m_y.average(xi - dx / 2, xi + dx / 2)
-    yj = np.arange(grid.ny + 1) * dy
-    fy_mx = _band_fraction(yj, dy, ge, top)
-    fy_my = _band_fraction(yj, dy, ge, np.inf if design.back_iron else top)
-    M_x = ax[:, None] * fy_mx[None, :]
-    M_y = ay[:, None] * fy_my[None, :]
-    return FdFieldMap(H_x, H_y, MU0 * (H_x + M_x), MU0 * (H_y + M_y))
-
-
-def face_fluxes(grid: FdGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative face-normal B: x-faces (nx, ny+1), y-faces (nx, ny)."""
-    psi = grid.psi
-    bx = MU0 * (-(np.roll(psi, -1, 0) - psi) / grid.dx + grid.mx_face)
-    by = MU0 * (-(psi[:, 1:] - psi[:, :-1]) / grid.dy + grid.my_face)
-    return bx, by
-
-
-def box_flux(grid: FdGrid, i0: int, i1: int, j0: int, j1: int) -> tuple[float, float]:
-    """Net outward B flux through the rectangle of cells [i0..i1] x [j0..j1]
-    (interior rows only), with the boundary flux magnitude for scale."""
-    if not (1 <= j0 <= j1 <= grid.ny - 1):
-        raise ValueError("rectangle must sit on interior rows")
-    bxf, byf = face_fluxes(grid)
-    right = bxf[i1, j0:j1 + 1]
-    left = bxf[(i0 - 1) % grid.nx, j0:j1 + 1]
-    topf = byf[i0:i1 + 1, j1]
-    botf = byf[i0:i1 + 1, j0 - 1]
-    net = (right.sum() - left.sum()) * grid.dy + (topf.sum() - botf.sum()) * grid.dx
-    scale = (np.abs(right).sum() + np.abs(left).sum()) * grid.dy \
-        + (np.abs(topf).sum() + np.abs(botf).sum()) * grid.dx
-    return float(net), float(scale)
-
-
 def midgap_comparison(design: MotorDesign, grid: FdGrid,
                       coeffs: FieldCoefficients) -> MidgapReport:
     """FD B_y along the row nearest g_e/2 against the analytic series."""
@@ -254,57 +177,3 @@ def midgap_comparison(design: MotorDesign, grid: FdGrid,
     b_an = airgap_B_y(design, coeffs, xs, ystar)
     err = float(np.abs(b_fd - b_an).max() / np.abs(b_an).max())
     return MidgapReport(ystar, b_fd, b_an, err)
-
-
-def fd_force_check(design: MotorDesign, grid: FdGrid, coeffs: FieldCoefficients,
-                   t: float = 0.0, x_0: float = 0.0) -> ForceCheck:
-    """Lorentz quadrature of J B_y over the coil band on the FD grid.
-
-    The y integral telescopes exactly: with psi = 0 on the stator face and
-    M_y = 0 below the array, int_0^h_c B_y dy = -mu0 psi(x, h_c).  Only
-    the x quadrature (exact slot cell averages against the row integral)
-    and a cubic interpolation of psi at y = h_c remain, so the gap against
-    thrust() is dominated by the solution's own O(h^2) error.  Doubled for
-    the two airgaps; compares against the closed-form thrust.
-    """
-    from .quantities import thrust
-
-    shift = design.u * float(t) + x_0
-    xi = np.arange(grid.nx) * grid.dx
-    jbar = slot_current_profile(design, t, shift).average(xi - grid.dx / 2,
-                                                          xi + grid.dx / 2)
-    psi_hc = _interp_rows(grid.psi, design.h_c / grid.dy, grid.ny)
-    f_fd = 2 * design.L * float((jbar * (-MU0 * psi_hc)).sum()) * grid.dx
-    f_an = float(thrust(design, coeffs, t, x_0).total[0])
-    return ForceCheck(f_fd, f_an, abs(f_fd - f_an) / max(abs(f_an), 1e-30))
-
-
-def _interp_rows(psi: np.ndarray, jq: float, ny: int) -> np.ndarray:
-    """Cubic Lagrange interpolation of node rows at fractional row jq."""
-    s = int(np.clip(np.floor(jq) - 1, 0, ny - 3))
-    js = np.arange(s, s + 4)
-    w = np.ones(4)
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[a] *= (jq - js[b]) / (js[a] - js[b])
-    return psi[:, s:s + 4] @ w
-
-
-def convergence_levels(design: MotorDesign) -> tuple[tuple[int, int], ...]:
-    """Three grid levels that keep >= 16 cells across the array height."""
-    if design.back_iron:
-        return ((256, 128), (512, 256), (1024, 512))
-    return ((256, 304), (512, 608), (1024, 1216))
-
-
-def midgap_convergence(design: MotorDesign) -> list[tuple[int, int, float]]:
-    """Mid-airgap error at the convergence levels, for convergence checks."""
-    coeffs = solve_coefficients(design, fourier_coefficients(
-        design, HarmonicTruncation()))
-    out = []
-    for nx, ny in convergence_levels(design):
-        grid = solve_scalar_poisson(design, nx, ny)
-        rep = midgap_comparison(design, grid, coeffs)
-        out.append((nx, ny, rep.max_rel_err))
-    return out

@@ -16,7 +16,10 @@ odd-periodic with period lam and expand in odd harmonics only:
 
 The block rule is written once, in `magnetization_steps`, as two exact step
 profiles over one period.  The harmonics are the exact step Fourier sums of
-those profiles, and the finite-difference check deposits the same steps.
+those profiles, and the finite-difference check deposits the same steps;
+`reconstruct_profiles` gives the truncated series back at points.  The
+tests check the steps against a second statement of the rule, a point
+lookup of the block index kept in `tests/references.py`.
 """
 from __future__ import annotations
 
@@ -61,25 +64,6 @@ def fourier_coefficients(design: MotorDesign,
     m_x, m_y = magnetization_steps(design)
     c = PeriodicSteps(m_x.edges, m_x.values + m_y.values).fourier(ns)
     return HarmonicSource(ns, -c.real, MU0 * c.imag)
-
-
-def _block_index(theta: np.ndarray, N_m: int) -> np.ndarray:
-    dth = np.pi / N_m
-    return np.floor((theta - np.pi / 2) / dth + 0.5).astype(int)
-
-
-def source_profiles(design: MotorDesign, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact piecewise source profiles K_m(x) and sigma_m(x)."""
-    theta = design.k * np.asarray(x, dtype=float)
-    i = _block_index(theta, design.N_m)
-    return (-design.M * np.sin(i * design.dtheta),
-            -MU0 * design.M * np.cos(i * design.dtheta))
-
-
-def magnetization_profiles(design: MotorDesign, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact piecewise M_x(x), M_y(x) inside the magnet band."""
-    K, sig = source_profiles(design, x)
-    return -K, -sig / MU0
 
 
 def reconstruct_profiles(source: HarmonicSource, k: float,

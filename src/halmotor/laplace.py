@@ -414,7 +414,14 @@ def _point_sums(coeffs: FieldCoefficients, x, Ws: np.ndarray, Wc: np.ndarray):
     """Point stage: every weight row summed against sin nkx (Ws) or cos nkx
     (Wc), as two stacks with the rows first (indexing a row is far cheaper
     than unpacking the stack).  x is a scalar or an (m, 1) column; point
-    and column calls run this same code, so they agree bit for bit."""
+    and column calls run this same code, so they agree bit for bit.  A
+    non-finite x is refused: sin and cos would return NaN, or raise under
+    np.errstate(invalid="raise")."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise OutOfDomain("x", x, "not finite")
+    elif not np.isfinite(x).all():
+        raise OutOfDomain("x", np.asarray(x)[~np.isfinite(x)][0], "not finite")
     phase = coeffs.nk * x
     return (np.vecdot(Ws, np.sin(phase)[..., None, :]).T,
             np.vecdot(Wc, np.cos(phase)[..., None, :]).T)

@@ -166,7 +166,7 @@ def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
 
     t may be a scalar or an array (or, from `thrust_time_series`, a
     `_Period`); ripple_pct is the peak-to-peak total force over the grid
-    relative to its mean.
+    relative to the magnitude of its mean, so it is never negative.
     """
     return _thrust(design, coeffs.n, _lines(design, coeffs)[1], t, x_0)
 
@@ -178,7 +178,7 @@ def _thrust(design: MotorDesign, n: np.ndarray, lines: np.ndarray, t,
     per_phase = _phase_thrust(design, n, lines, ts, origins, N)
     total = per_phase.sum(axis=0)
     mean = float(total.mean())
-    ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / mean
+    ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / abs(mean)
     return ForceResult(ts, per_phase, total, mean, ripple)
 
 

@@ -26,7 +26,7 @@ TOL_CLOSED = 1e-10
 TOL_MAP = 1e-12
 TOL_FIELDS = 1e-10
 TOL_ROWS = 1e-9
-TOL_JUMPS = 0.01
+TOL_JUMPS = 1e-6
 TOL_POWER = 1e-9
 TOL_FD = 0.03
 

@@ -379,6 +379,58 @@ def test_interface_jumps_catch_flipped_region_two_term(monkeypatch, trunc,
     assert not verify.check_interface_jumps(design, src, coeffs).passed
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_interface_jumps_catch_a_small_region_two_error(trunc, back_iron):
+    # a clean solve sits near 1e-15 of the local max; a 1e-5 relative
+    # error in x4 moves it to about 8e-6
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = laplace.solve_coefficients(design, src)
+    assert verify.check_interface_jumps(design, src, coeffs).passed
+    bad = dataclasses.replace(coeffs, x4=coeffs.x4 * (1 + 1e-5))
+    assert not verify.check_interface_jumps(design, src, bad).passed
+
+
+def _scale_vector_bx_weights(monkeypatch):
+    original = poisson._vector_weights
+
+    def faulty(design, source, coeffs, y, region):
+        region, Ws, Wc = original(design, source, coeffs, y, region)
+        Wc = Wc.copy()
+        Wc[..., 1, :] *= 1 + 1e-8     # the B_x row
+        return region, Ws, Wc
+
+    monkeypatch.setattr(poisson, "_vector_weights", faulty)
+
+
+def _scale_back_emf(monkeypatch):
+    original = quantities.back_emf
+
+    def faulty(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, emf=res.emf * (1 + 1e-8))
+
+    monkeypatch.setattr(quantities, "back_emf", faulty)
+
+
+def _failing_families(design, trunc):
+    return [r.name.rsplit(" N_m=", 1)[0]
+            for r in verify.verify_design(design, trunc, skip_fd=True) if not r.passed]
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+@pytest.mark.parametrize("plant, family", [
+    (_scale_vector_bx_weights, "tri-model fields"),
+    (_scale_back_emf, "power-balance"),
+])
+def test_planted_fault_fails_its_family_alone(monkeypatch, trunc, back_iron,
+                                              plant, family):
+    design = make_case(2, back_iron)
+    assert _failing_families(design, trunc) == []
+    plant(monkeypatch)
+    assert _failing_families(design, trunc) == [family]
+
+
 @pytest.mark.parametrize("model", ["laplace", poisson.MODEL_SCALAR,
                                    poisson.MODEL_VECTOR])
 def test_fault_planted_between_two_maps_shows_in_the_second(monkeypatch, trunc,
@@ -809,7 +861,9 @@ def test_no_float_flag_skips_the_finite_check():
 
 def test_no_command_imports_numpy_ma(config_path, tmp_path):
     # numpy.ma (pulled in by np.unique, among others) adds about 1 MB of
-    # resident memory to every run; a fresh interpreter shows what loads it
+    # resident memory to every run; a fresh interpreter shows what loads it.
+    # numpy is the only runtime dependency, so no package that only the
+    # tests use may load either
     commands = [["fields", "--grid", "8x4"], ["force", "--nt", "8", "--nscan", "8"],
                 ["emf", "--nt", "8"], ["normal"], ["sizing", "--b-av", "0.5"],
                 ["sweep", "--axis", "h_c=0.003:0.005:3"],
@@ -823,7 +877,10 @@ def test_no_command_imports_numpy_ma(config_path, tmp_path):
         f"    rc = cli.main([*argv, '--config', {str(config_path)!r},\n"
         f"                   '--out', {str(tmp_path)!r} + '/' + argv[0]])\n"
         "    assert rc == 0, argv\n"
-        "assert 'numpy.ma' not in sys.modules\n")
+        "assert 'numpy.ma' not in sys.modules\n"
+        "test_only = {m.partition('.')[0] for m in sys.modules} & {\n"
+        "    'scipy', 'mpmath', 'hypothesis', 'pytest'}\n"
+        "assert not test_only, test_only\n")
     src = str(Path(halmotor.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -11,11 +11,11 @@ from halmotor.config import MU0, HarmonicTruncation, MotorDesign
 from halmotor.errors import NoConvergence
 from halmotor.halbach import fourier_coefficients, magnetization_steps
 from halmotor.laplace import solve_coefficients
-from halmotor.fdcheck import (box_flux, convergence_levels, face_fluxes,
-                              fd_fields, fd_force_check, midgap_comparison,
-                              midgap_convergence, solve_scalar_poisson)
+from halmotor.fdcheck import midgap_comparison, solve_scalar_poisson
 
 from conftest import TABLE1, make_case
+from references import (box_flux, convergence_levels, face_fluxes, fd_fields,
+                        fd_force_check, midgap_convergence, mx_face, my_face)
 
 # mid-airgap error frozen at first validation (grids well inside the 3%
 # contract; the exact digits guard against silent stencil regressions)
@@ -151,7 +151,7 @@ def _sparse_reference(grid):
     """psi from a sparse direct solve of the assembled 5-point system, its
     rhs the compact divergence of the full face arrays."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    mx, my = grid.mx_face, grid.my_face
+    mx, my = mx_face(grid), my_face(grid)
     rhs = ((mx - np.roll(mx, 1, axis=0))[:, 1:ny] / dx
            + (my[:, 1:] - my[:, :-1]) / dy)
 
@@ -178,7 +178,7 @@ def test_solution_matches_sparse_direct_solve(table1, back_iron, nx, ny):
 def test_source_deposit_total_moment(table1, grid_open):
     # column sums of the face M_y band reproduce h_m times the cell average
     # of M_y(x): the deposit conserves the sheet dipole moment exactly
-    col = grid_open.my_face.sum(axis=1) * grid_open.dy
+    col = my_face(grid_open).sum(axis=1) * grid_open.dy
     _, m_y = magnetization_steps(table1)
     xi = np.arange(grid_open.nx) * grid_open.dx
     want = m_y.average(xi - grid_open.dx / 2, xi + grid_open.dx / 2) * table1.h_m

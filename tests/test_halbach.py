@@ -10,13 +10,12 @@ from scipy.integrate import quad
 from halmotor.config import MU0, HarmonicTruncation
 from halmotor.halbach import (
     fourier_coefficients,
-    magnetization_profiles,
     magnetization_steps,
     reconstruct_profiles,
-    source_profiles,
 )
 
 from conftest import make_case
+from references import magnetization_profiles, source_profiles
 
 # fundamental current-sheet amplitude over M, per segment count
 K1_OVER_M = {

@@ -8,6 +8,7 @@ import pytest
 
 from halmotor import laplace, poisson, verify
 from halmotor.config import MU0, HarmonicTruncation
+from halmotor.errors import OutOfDomain
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import evaluate_fields, solve_coefficients
 from halmotor.poisson import (
@@ -119,6 +120,26 @@ def _assert_same(sample, column, i):
             assert getattr(column, comp) is None, comp
         else:
             assert getattr(column, comp)[i] == want, comp
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_out_of_domain(back_iron, bad, trunc):
+    # sin(nan) sets no floating-point flag, so NaN once came back as an
+    # all-NaN sample, and +-inf as a FloatingPointError under errstate
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    y = 0.5 * design.g_e
+    column = np.array([[0.01], [bad]])
+    for coeffs, ev in _routes(design, src):
+        for errstate in ({}, {"invalid": "raise"}):
+            with np.errstate(**errstate):
+                for call in (lambda: ev(design, src, coeffs, bad, y),
+                             lambda: ev(design, src, coeffs, np.float64(bad), y),
+                             lambda: ev(design, src, coeffs, column, y, "I")):
+                    with pytest.raises(OutOfDomain,
+                                       match=rf"^x = {bad} .*\(not finite\)$"):
+                        call()
 
 
 @pytest.mark.parametrize("back_iron", [False, True])

@@ -63,6 +63,20 @@ def test_mean_force_and_ripple_open(n_m):
     assert res.ripple_pct == pytest.approx(RIPPLE_OPEN[n_m], rel=1e-12)
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_ripple_is_relative_to_the_mean_magnitude(back_iron):
+    # half a wavelength on, the array reverses and so does the thrust: the
+    # mean changes sign, the ripple does not
+    design = make_case(2, back_iron)
+    _, coeffs = _solved(design)
+    ahead = thrust_time_series(design, coeffs, x_0=0.03)
+    behind = thrust_time_series(design, coeffs, x_0=0.03 + design.lam / 2)
+    assert ahead.mean > 0 > behind.mean
+    assert behind.mean == pytest.approx(-ahead.mean, rel=1e-12)
+    assert behind.ripple_pct == pytest.approx(ahead.ripple_pct, rel=1e-12)
+    assert ahead.ripple_pct > 0
+
+
 @pytest.mark.parametrize("n_m", [2, 3, 4, 5])
 def test_mean_force_iron(n_m):
     design = make_case(n_m, back_iron=True)
