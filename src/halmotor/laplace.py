@@ -410,6 +410,16 @@ def _stacked(rows) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*rows), axis=-2)
 
 
+def _require_finite_x(x) -> None:
+    """Refuse a non-finite x, scalar or array, with an `OutOfDomain` that
+    names the first offending value."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise OutOfDomain("x", x, "not finite")
+    elif not np.isfinite(x).all():
+        raise OutOfDomain("x", np.asarray(x)[~np.isfinite(x)][0], "not finite")
+
+
 def _point_sums(coeffs: FieldCoefficients, x, Ws: np.ndarray, Wc: np.ndarray):
     """Point stage: every weight row summed against sin nkx (Ws) or cos nkx
     (Wc), as two stacks with the rows first (indexing a row is far cheaper
@@ -417,11 +427,7 @@ def _point_sums(coeffs: FieldCoefficients, x, Ws: np.ndarray, Wc: np.ndarray):
     and column calls run this same code, so they agree bit for bit.  A
     non-finite x is refused: sin and cos would return NaN, or raise under
     np.errstate(invalid="raise")."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise OutOfDomain("x", x, "not finite")
-    elif not np.isfinite(x).all():
-        raise OutOfDomain("x", np.asarray(x)[~np.isfinite(x)][0], "not finite")
+    _require_finite_x(x)
     phase = coeffs.nk * x
     return (np.vecdot(Ws, np.sin(phase)[..., None, :]).T,
             np.vecdot(Wc, np.cos(phase)[..., None, :]).T)
@@ -461,11 +467,14 @@ def evaluate_fields(design: MotorDesign, source: HarmonicSource,
 
 def airgap_B_y(design: MotorDesign, coeffs: FieldCoefficients,
                x: np.ndarray, y: float) -> np.ndarray:
-    """Vectorized B_y in region I at height y."""
+    """Vectorized B_y in region I at height y; a non-finite x is refused,
+    as in `_point_sums`."""
     if not 0 <= y <= design.g_e:
         raise OutOfDomain("y", y, "region I spans 0 <= y <= g_e")
+    x = np.asarray(x, dtype=float)
+    _require_finite_x(x)
     _, nk, P, Q = _region_terms(design, coeffs, y, "I")
-    return np.sin(np.outer(np.asarray(x, dtype=float), nk)) @ (-MU0 * nk * (P - Q))
+    return np.sin(np.outer(x, nk)) @ (-MU0 * nk * (P - Q))
 
 
 def field_map(design: MotorDesign, source: HarmonicSource, coeffs: FieldCoefficients,

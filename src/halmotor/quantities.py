@@ -196,16 +196,27 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
     _QUAD_NY grid over one wavelength of the coil band and weighted by the
     exact cell averages of the slot current profile.  The factor 2 counts
     both airgaps.
+
+    The double sum separates per harmonic.  The y-sum is the plain sum of
+    the region-I weights over the rows.  The x-sum of Jx_j sin nk(x_j - s)
+    over the midpoints x_j = (j + 1/2) lam / N is the imaginary part of
+    e^{i pi n / N} e^{-i nk s} sum_j Jx_j e^{2 pi i n j / N}, and that last
+    sum is bin n mod N of the conjugated length-N FFT of the real Jx, so one
+    FFT serves every n_max exactly, also when harmonics alias.
     """
-    dx = design.lam / _QUAD_NX
-    xs = (np.arange(_QUAD_NX) + 0.5) * dx
+    N = _QUAD_NX
+    dx = design.lam / N
+    xs = (np.arange(N) + 0.5) * dx
     ys = (np.arange(_QUAD_NY) + 0.5) * design.h_c / _QUAD_NY
     Jx = slot_current_profile(design, t).average(xs - dx / 2, xs + dx / 2)
     shift = design.u * float(t) + x_0
     _, nk, P, Q = _region_terms(design, coeffs, ys[:, None], "I")
-    By = np.sin(np.outer(xs - shift, nk)) @ (-MU0 * nk * (P - Q)).T
-    integral = float((Jx[:, None] * By).sum()) * dx * (design.h_c / _QUAD_NY)
-    return 2 * design.L * integral
+    n = coeffs.n
+    # np.fft is looked up here, not imported: numpy loads it lazily
+    x_sums = (np.fft.fft(Jx).conj()[n % N]
+              * np.exp(1j * (np.pi * n / N - nk * shift))).imag
+    integral = float(x_sums @ (-MU0 * nk * (P - Q)).sum(axis=0))
+    return 2 * design.L * integral * dx * (design.h_c / _QUAD_NY)
 
 
 def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,

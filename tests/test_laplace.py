@@ -109,6 +109,20 @@ def test_airgap_profile_matches_pointwise(table1, source, coeffs):
         airgap_B_y(table1, coeffs, xs, table1.g_e * 1.01)
 
 
+@pytest.mark.parametrize("back_iron", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_airgap_profile_refuses_non_finite_x(back_iron, bad, trunc):
+    # the FD mid-gap comparison's route once returned NaN for a NaN x, and
+    # raised FloatingPointError for +-inf under errstate
+    design = make_case(2, back_iron)
+    coeffs = solve_coefficients(design, fourier_coefficients(design, trunc))
+    for errstate in ({}, {"invalid": "raise"}):
+        with np.errstate(**errstate):
+            for x in (np.array([0.01, bad]), bad, np.float64(bad)):
+                with pytest.raises(OutOfDomain, match=rf"^x = {bad} .*\(not finite\)$"):
+                    airgap_B_y(design, coeffs, x, 0.5 * design.g_e)
+
+
 def test_region_classification(table1, table1_iron):
     assert classify_region(table1, 0.0) == "I"
     assert classify_region(table1, table1.g_e - 1e-9) == "I"

@@ -5,23 +5,26 @@ once the dual analytic/quadrature routes agreed, and are pinned at full
 precision to catch regressions.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from halmotor import quantities
 from halmotor.config import (MU0, HarmonicTruncation, MotorDesign,
                              all_phase_currents, slot_offsets)
 from halmotor.errors import OffsetExceedsGap, ZeroVelocity
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import airgap_B_y, solve_coefficients
 from halmotor.poisson import evaluate_fields_vector, solve_vector
-from halmotor.quantities import (_lines, attraction_force, back_emf, emf_thd,
-                                 emf_time_series, force_angle_sweep,
+from halmotor.quantities import (_QUAD_NX, _lines, attraction_force, back_emf,
+                                 emf_thd, emf_time_series, force_angle_sweep,
                                  misalignment_force, optimal_shift, period_grid,
                                  power_balance, thrust, thrust_quadrature,
                                  thrust_time_series)
 
 from conftest import TABLE1, make_case
+from references import thrust_quadrature_direct
 
 # mean thrust [N] and peak-to-peak ripple [%] at the best shift x_0 = 3λ/4
 MEAN_FORCE_OPEN = {
@@ -195,6 +198,47 @@ def test_thrust_quadrature_tracks_closed_form(design):
         analytic = float(thrust(design, coeffs, t, x_0).total[0])
         quad = thrust_quadrature(design, coeffs, t, x_0)
         assert abs(quad - analytic) < 1e-5 * abs(analytic), (t, x_0)
+
+
+def test_thrust_quadrature_exact_when_harmonics_alias(table1):
+    """Above n_max = _QUAD_NX the harmonics share FFT bins; the quadrature
+    must still equal the direct double sum over the midpoint grid."""
+    n_max = 9001
+    assert n_max > _QUAD_NX
+    coeffs = solve_coefficients(table1, fourier_coefficients(table1,
+                                                             HarmonicTruncation(n_max)))
+    t, x_0 = 1.3e-3, 0.004
+    want = thrust_quadrature_direct(table1, coeffs, t, x_0)
+    assert thrust_quadrature(table1, coeffs, t, x_0) == pytest.approx(want, rel=1e-13)
+
+
+def test_thrust_quadrature_is_independent_of_the_line_table(table1, coeffs, monkeypatch):
+    """The quadrature is the independent route to the thrust: it must not
+    read the slot-window line table or its synthesis."""
+    want = thrust_quadrature(table1, coeffs, 1.3e-3, 0.004)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("thrust_quadrature reached the line table")
+
+    monkeypatch.setattr(quantities, "_lines", forbidden)
+    monkeypatch.setattr(quantities, "_synthesize", forbidden)
+    assert thrust_quadrature(table1, coeffs, 1.3e-3, 0.004) == want
+
+
+@pytest.mark.parametrize("n_max, bound_mib", [(199, 1), (3001, 8)])
+def test_thrust_quadrature_memory(table1, n_max, bound_mib):
+    """The x-sum is one FFT of the cell-averaged current, so no (8192, H)
+    sine matrix is formed.  The direct double sum over that matrix peaks at
+    12.8 MiB at n_max 199 and 190 MiB at 3001; this form at 0.6 and 4.6."""
+    coeffs = solve_coefficients(table1, fourier_coefficients(table1,
+                                                             HarmonicTruncation(n_max)))
+    tracemalloc.start()
+    try:
+        thrust_quadrature(table1, coeffs, 1.3e-3, 0.004)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def test_power_balance_is_machine_exact(table1, coeffs):
