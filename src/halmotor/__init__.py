@@ -32,6 +32,7 @@ from .quantities import (
     emf_thd,
     emf_time_series,
     force_angle_sweep,
+    line_table,
     misalignment_force,
     power_balance,
     thrust,
@@ -73,6 +74,7 @@ __all__ = [
     "emf_thd",
     "emf_time_series",
     "force_angle_sweep",
+    "line_table",
     "misalignment_force",
     "power_balance",
     "thrust",

@@ -176,9 +176,9 @@ def _key_numbers(text: str, form: str) -> tuple[str, list[str]]:
 def _axis_spec(text: str) -> tuple[str, np.ndarray]:
     key, (lo, hi, n) = _key_numbers(text, "KEY=LO:HI:N")
     count = _count_at_least(1)(n)
-    if count > studio._MAX_SWEEP_POINTS:  # refuse before allocating the axis
+    if count > studio.MAX_SWEEP_POINTS:  # refuse before allocating the axis
         raise argparse.ArgumentTypeError(
-            f"axis of {count} points exceeds {studio._MAX_SWEEP_POINTS}")
+            f"axis of {count} points exceeds {studio.MAX_SWEEP_POINTS}")
     return key, np.linspace(_finite_float(lo), _finite_float(hi), count)
 
 
@@ -235,9 +235,10 @@ def cmd_fields(args: argparse.Namespace, design: MotorDesign,
 def cmd_force(args: argparse.Namespace, design: MotorDesign,
               trunc: HarmonicTruncation) -> Outcome:
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
-    x0s, totals = quantities.force_angle_sweep(design, coeffs, args.nscan)
+    table = quantities.line_table(design, coeffs)
+    x0s, totals = quantities.force_angle_sweep(design, table, args.nscan)
     x_0 = float(x0s[np.argmax(totals)]) if args.x0 is None else args.x0
-    force = quantities.thrust_time_series(design, coeffs, x_0, args.nt)
+    force = quantities.thrust_time_series(design, table, x_0, args.nt)
     profile = ({"t": force.t} | _phases("f_phase_", force.per_phase)
                | {"f_total": force.total, "f_mean": np.full_like(force.t, force.mean),
                   "ripple_pct": np.full_like(force.t, force.ripple_pct)})
@@ -250,13 +251,14 @@ def cmd_force(args: argparse.Namespace, design: MotorDesign,
 def cmd_emf(args: argparse.Namespace, design: MotorDesign,
             trunc: HarmonicTruncation) -> Outcome:
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
-    emf = quantities.emf_time_series(design, coeffs, args.x0, args.nt)
-    thd = quantities.emf_thd(design, coeffs)
-    table = ({"t": emf.t} | _phases("lambda_", emf.flux_linkage)
-             | _phases("emf_", emf.emf) | _phases("i_", emf.current)
-             | _phases("thd_", np.multiply.outer(thd, np.ones(len(emf.t)))))
+    table = quantities.line_table(design, coeffs)
+    emf = quantities.emf_time_series(design, table, args.x0, args.nt)
+    thd = quantities.emf_thd(table)
+    columns = ({"t": emf.t} | _phases("lambda_", emf.flux_linkage)
+               | _phases("emf_", emf.emf) | _phases("i_", emf.current)
+               | _phases("thd_", np.multiply.outer(thd, np.ones(len(emf.t)))))
     peak = float(np.abs(emf.emf).max())
-    return Outcome({"emf.csv": table},
+    return Outcome({"emf.csv": columns},
                    f"emf: peak = {peak:.4f} V, THD = {float(thd[0]):.6f}")
 
 

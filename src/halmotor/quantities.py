@@ -5,18 +5,20 @@ set.  The slot layout and the phase currents come from `config`
 (`slot_offsets`, `all_phase_currents`, `slot_current_profile`); the
 array is displaced by u t + x_0.  Forces are per stator unit cell (one
 wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, flux
-linkage, EMF and EMF THD all come from one slot-window table, `_lines`.
-Each public function builds that table from solved coefficients; the
-private `_scan`, `_thrust` and `_thd` take a table already built, so a
-caller that needs several quantities of one design builds it once.
+linkage, EMF and EMF THD all come from one slot-window `LineTable`, built
+from solved coefficients by `line_table`, and every one of them takes
+that table: a caller that needs several quantities of one design builds
+it once.
 
-One routine, `_synthesize`, sums that table over the harmonics at array
+One routine, `_synthesize`, sums the table over the harmonics at array
 shifts.  The force-angle scan and one electrical period are uniform shift
 grids o + j lam / N: line n is folded into FFT bin n mod N and one
 inverse FFT of length N yields the grid, exactly also when n_max >= N,
 since the harmonics sharing a bin take equal values on the grid.
 Arbitrary sample times are grids of N = 1 with one origin u t + x_0
-each, where the fold is the plain sum.
+each, where the fold is the plain sum.  The cores `_force` and `_emf`
+take the sample times with their shift grid: `thrust` and `back_emf`
+pass one origin per time, the time series one period from x_0.
 """
 from __future__ import annotations
 
@@ -75,42 +77,33 @@ class PowerBalance:
     max_rel_dev: float
 
 
-def _lines(design: MotorDesign, coeffs: FieldCoefficients):
-    """Wavenumbers nk and the (N_ph, H) slot-window line table.
+@dataclass(frozen=True)
+class LineTable:
+    """Harmonic orders n, wavenumbers nk and the (N_ph, H) slot-window lines
+    of one solved design; `_synthesize` also takes lines with leading axes.
 
-    Entry (m, n) is A1 sinh(nk h_c) / nk (e^{-i l} - e^{-i r}), l and r the
+    Line (m, n) is A1 sinh(nk h_c) / nk (e^{-i l} - e^{-i r}), l and r the
     angles n k x of go side m's edges (a slot spans pi / N_ph of the
     fundamental).  Summed with e^{i nk s} at array shift s, the real part
     is the integral of B_y over the go side and, with each line over nk,
     the imaginary part that of A_z, both times -1 / (2 mu0).  A1 sinh is
     x1 (e^{nk(h_c - g_e)} - e^{-nk(h_c + g_e)}) / 2, so it cannot overflow.
     """
+
+    n: np.ndarray
+    nk: np.ndarray
+    lines: np.ndarray
+
+
+def line_table(design: MotorDesign, coeffs: FieldCoefficients) -> LineTable:
+    """The `LineTable` of a design from its solved coefficients."""
     nk = coeffs.nk
     A1_sinh = 0.5 * coeffs.x1 * (np.exp(nk * (design.h_c - design.g_e))
                                  - np.exp(-nk * (design.h_c + design.g_e)))
     slot = coeffs.n * (np.pi / design.N_ph)
     left = np.multiply.outer(slot_offsets(design), slot)
-    return nk, A1_sinh / nk * (np.exp(-1j * left) - np.exp(-1j * (left + slot)))
-
-
-@dataclass(frozen=True)
-class _Period:
-    """A time argument of `thrust` or `back_emf` that states one electrical
-    period of nt uniform samples (from `thrust_time_series` and
-    `emf_time_series`).  Since u t_j = j lam / nt, the array
-    shifts are then the grid x_0 + j lam / nt of the single origin x_0."""
-
-    nt: int
-
-
-def _samples(design: MotorDesign, t, x_0: float):
-    """Sample times, shift origins and samples per origin for a time
-    argument: a `_Period` is nt samples from the origin x_0; any other t is
-    one sample at each origin u t + x_0."""
-    if isinstance(t, _Period):
-        return period_grid(design, t.nt), x_0, t.nt
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return ts, design.u * ts + x_0, 1
+    return LineTable(coeffs.n, nk,
+                     A1_sinh / nk * (np.exp(-1j * left) - np.exp(-1j * (left + slot))))
 
 
 def _synthesize(n: np.ndarray, k: float, lines: np.ndarray, origins,
@@ -143,13 +136,18 @@ def _synthesize(n: np.ndarray, k: float, lines: np.ndarray, origins,
     return samples.swapaxes(-1, -2).reshape(lead + (-1,))
 
 
-def _phase_thrust(design: MotorDesign, n: np.ndarray, lines: np.ndarray, t,
-                  origins, N: int) -> np.ndarray:
-    """Thrust of every go side's phase, (N_ph, S N), from the line table of
-    orders n, with the currents at time(s) t and the array on the shift
-    grids of `_synthesize`."""
-    return (-8 * MU0 * design.L * all_phase_currents(design, t)
-            * _synthesize(n, design.k, lines, origins, N).real)
+def _force(design: MotorDesign, table: LineTable, ts, origins,
+           N: int) -> ForceResult:
+    """Per-phase thrust, (N_ph, S N), with the currents at times ts and the
+    array on the shift grids of `_synthesize`; ripple_pct is the
+    peak-to-peak total over the grid relative to the magnitude of its
+    mean, so it is never negative."""
+    per_phase = (-8 * MU0 * design.L * all_phase_currents(design, ts)
+                 * _synthesize(table.n, design.k, table.lines, origins, N).real)
+    total = per_phase.sum(axis=0)
+    mean = float(total.mean())
+    ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / abs(mean)
+    return ForceResult(ts, per_phase, total, mean, ripple)
 
 
 def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
@@ -159,33 +157,19 @@ def period_grid(design: MotorDesign, nt: int) -> np.ndarray:
     return np.arange(nt) / (nt * design.f)
 
 
-def thrust(design: MotorDesign, coeffs: FieldCoefficients, t,
+def thrust(design: MotorDesign, table: LineTable, t,
            x_0: float = 0.0) -> ForceResult:
-    """Per-phase thrust: the current times the real part of the phase's
-    slot-window lines at the array shift u t + x_0.
-
-    t may be a scalar or an array (or, from `thrust_time_series`, a
-    `_Period`); ripple_pct is the peak-to-peak total force over the grid
-    relative to the magnitude of its mean, so it is never negative.
-    """
-    return _thrust(design, coeffs.n, _lines(design, coeffs)[1], t, x_0)
+    """Per-phase thrust at time(s) t: the current times the real part of the
+    phase's slot-window lines at the array shift u t + x_0."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return _force(design, table, ts, design.u * ts + x_0, 1)
 
 
-def _thrust(design: MotorDesign, n: np.ndarray, lines: np.ndarray, t,
-            x_0: float) -> ForceResult:
-    """`thrust` from a line table already built."""
-    ts, origins, N = _samples(design, t, x_0)
-    per_phase = _phase_thrust(design, n, lines, ts, origins, N)
-    total = per_phase.sum(axis=0)
-    mean = float(total.mean())
-    ripple = 0.0 if mean == 0 else 100.0 * float(total.max() - total.min()) / abs(mean)
-    return ForceResult(ts, per_phase, total, mean, ripple)
-
-
-def thrust_time_series(design: MotorDesign, coeffs: FieldCoefficients,
+def thrust_time_series(design: MotorDesign, table: LineTable,
                        x_0: float = 0.0, nt: int = 720) -> ForceResult:
-    """Thrust over one electrical period on a uniform nt-point grid."""
-    return thrust(design, coeffs, _Period(nt), x_0)
+    """Thrust over one electrical period on a uniform nt-point grid: since
+    u t_j = j lam / nt, the shifts are the grid of the one origin x_0."""
+    return _force(design, table, period_grid(design, nt), x_0, nt)
 
 
 def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
@@ -219,32 +203,36 @@ def thrust_quadrature(design: MotorDesign, coeffs: FieldCoefficients, t: float,
     return 2 * design.L * integral * dx * (design.h_c / _QUAD_NY)
 
 
-def force_angle_sweep(design: MotorDesign, coeffs: FieldCoefficients,
+def force_angle_sweep(design: MotorDesign, table: LineTable,
                       n_scan: int = 360) -> tuple[np.ndarray, np.ndarray]:
     """Total thrust at t = 0 versus array shift x_0 over one wavelength."""
-    return _scan(design, coeffs.n, _lines(design, coeffs)[1], n_scan)
-
-
-def _scan(design: MotorDesign, n: np.ndarray, lines: np.ndarray,
-          n_scan: int) -> tuple[np.ndarray, np.ndarray]:
-    """`force_angle_sweep` from a line table already built."""
     x0s = np.arange(n_scan) * design.lam / n_scan
-    return x0s, _phase_thrust(design, n, lines, 0.0, 0.0, n_scan).sum(axis=0)
+    return x0s, _force(design, table, 0.0, 0.0, n_scan).total
 
 
-def optimal_shift(design: MotorDesign, coeffs: FieldCoefficients,
+def optimal_shift(design: MotorDesign, table: LineTable,
                   n_scan: int = 360) -> tuple[float, float]:
-    """Array shift maximizing total thrust at t = 0, by dense scan."""
-    return _argmax(*force_angle_sweep(design, coeffs, n_scan))
-
-
-def _argmax(x0s: np.ndarray, totals: np.ndarray) -> tuple[float, float]:
-    """The scanned shift of largest total thrust, and that thrust."""
+    """Array shift maximizing total thrust at t = 0, by dense scan, and that
+    thrust."""
+    x0s, totals = force_angle_sweep(design, table, n_scan)
     i = int(np.argmax(totals))
     return float(x0s[i]), float(totals[i])
 
 
-def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
+def _emf(design: MotorDesign, table: LineTable, ts, origins, N: int) -> EmfResult:
+    """Flux linkage, EMF and current per phase at times ts, with the array
+    on the shift grids of `_synthesize`."""
+    ws = design.slot_width
+    scale = -8 * MU0 * design.L * design.N_turns / (design.h_c * ws)
+    at = _synthesize(table.n, design.k,
+                     np.stack([table.lines / table.nk, design.u * table.lines]),
+                     origins, N)
+    linkage, emf = scale * at[0].imag, scale * at[1].real
+    current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
+    return EmfResult(ts, linkage, emf, current)
+
+
+def back_emf(design: MotorDesign, table: LineTable, t,
              x_0: float = 0.0) -> EmfResult:
     """Flux linkage and EMF per phase for N_turns-turn uniform coils.
 
@@ -253,25 +241,18 @@ def back_emf(design: MotorDesign, coeffs: FieldCoefficients, t,
     array shift u t + x_0.  EMF is its exact time derivative, the real part
     of u times the lines; both share one scale.
     """
-    ts, origins, N = _samples(design, t, x_0)
-    nk, lines = _lines(design, coeffs)
-    ws = design.slot_width
-    scale = -8 * MU0 * design.L * design.N_turns / (design.h_c * ws)
-    at = _synthesize(coeffs.n, design.k, np.stack([lines / nk, design.u * lines]),
-                     origins, N)
-    linkage, emf = scale * at[0].imag, scale * at[1].real
-    current = design.h_c * ws / design.N_turns * all_phase_currents(design, ts)
-    return EmfResult(ts, linkage, emf, current)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return _emf(design, table, ts, design.u * ts + x_0, 1)
 
 
-def emf_time_series(design: MotorDesign, coeffs: FieldCoefficients,
+def emf_time_series(design: MotorDesign, table: LineTable,
                     x_0: float = 0.0, nt: int = 720) -> EmfResult:
     """Flux linkage and EMF over one electrical period on a uniform nt-point
-    grid."""
-    return back_emf(design, coeffs, _Period(nt), x_0)
+    grid, the shift grid of the one origin x_0."""
+    return _emf(design, table, period_grid(design, nt), x_0, nt)
 
 
-def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
+def power_balance(design: MotorDesign, table: LineTable,
                   x_0: float = 0.0, nt: int = 720) -> PowerBalance:
     """Check sum(E_m I_m) = u F_t over one electrical period.
 
@@ -279,8 +260,8 @@ def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
     sample, so the check also holds the two synthesis modes against each
     other.
     """
-    force = thrust_time_series(design, coeffs, x_0, nt)
-    e = back_emf(design, coeffs, force.t, x_0)
+    force = thrust_time_series(design, table, x_0, nt)
+    e = back_emf(design, table, force.t, x_0)
     electrical = (e.emf * e.current).sum(axis=0)
     mechanical = design.u * force.total
     scale = max(float(np.abs(mechanical).max()), 1e-30)
@@ -288,7 +269,7 @@ def power_balance(design: MotorDesign, coeffs: FieldCoefficients,
     return PowerBalance(force.t, electrical, mechanical, dev)
 
 
-def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:
+def emf_thd(table: LineTable) -> np.ndarray:
     """Per-phase EMF total harmonic distortion, from the line magnitudes.
 
     Array harmonic n drives EMF line n of phase m with an amplitude
@@ -296,12 +277,7 @@ def emf_thd(design: MotorDesign, coeffs: FieldCoefficients) -> np.ndarray:
     shift moves only the line's phase.  So the THD is exact, with no
     sampled period to alias.
     """
-    return _thd(_lines(design, coeffs)[1])
-
-
-def _thd(lines: np.ndarray) -> np.ndarray:
-    """`emf_thd` from a line table already built."""
-    mag = np.abs(lines)
+    mag = np.abs(table.lines)
     fund, rest = mag[:, 0], np.sqrt((mag[:, 1:] ** 2).sum(axis=1))  # n[0] == 1
     return np.divide(rest, fund, out=np.zeros_like(rest), where=fund > 0)
 

@@ -20,13 +20,13 @@ from .config import HarmonicTruncation, MotorDesign
 from .errors import EmptyBounds, ZeroLoss
 from .halbach import fourier_coefficients
 from .laplace import solve_coefficients
-from .quantities import _argmax, _lines, _Period, _scan, _thd, _thrust
+from .quantities import emf_thd, line_table, optimal_shift, thrust_time_series
 
 MOVING_PM = "moving-PM"
 MOVING_STATOR = "moving-stator"
 
 _AXES = ("lam", "h_m", "h_c")
-_MAX_SWEEP_POINTS = 100_000
+MAX_SWEEP_POINTS = 100_000
 _RESOLUTION_ULPS = 4  # smallest refinement step, in ulps of the larger bound
 
 
@@ -179,11 +179,11 @@ def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
     score.  The scan, the period and the THD share one slot-window table."""
     trunc = trunc or HarmonicTruncation()
     coeffs = solve_coefficients(design, fourier_coefficients(design, trunc))
-    _, lines = _lines(design, coeffs)
-    x_best, _ = _argmax(*_scan(design, coeffs.n, lines, 360))
-    series = _thrust(design, coeffs.n, lines, _Period(720), x_best)
+    table = line_table(design, coeffs)
+    x_best, _ = optimal_shift(design, table, 360)
+    series = thrust_time_series(design, table, x_best, 720)
     metrics = stage_metrics(design, stage, series.mean)
-    thd = float(_thd(lines).max()) if obj.needs_thd else None
+    thd = float(emf_thd(table).max()) if obj.needs_thd else None
     metrics = dataclasses.replace(metrics, ripple_pct=series.ripple_pct, thd=thd)
     return metrics, objective(design, stage, obj, metrics)
 
@@ -192,8 +192,8 @@ _SWEEP_COLUMNS = ("lam", "h_m", "h_c", "f_unit", "a", "p_cu", "tau", "score")
 
 
 def _check_cap(what: str, n_points: int) -> None:
-    if n_points > _MAX_SWEEP_POINTS:
-        raise ValueError(f"{what} of {n_points} points exceeds {_MAX_SWEEP_POINTS}")
+    if n_points > MAX_SWEEP_POINTS:
+        raise ValueError(f"{what} of {n_points} points exceeds {MAX_SWEEP_POINTS}")
 
 
 def _search(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,

@@ -20,7 +20,7 @@ from .config import MU0, HarmonicTruncation, MotorDesign
 from .errors import UnresolvedGrid
 from .halbach import fourier_coefficients, reconstruct_profiles
 from .poisson import evaluate_fields_vector, solve_vector, vector_from_hybrid
-from .quantities import power_balance
+from .quantities import line_table, power_balance
 
 TOL_CLOSED = 1e-10
 TOL_MAP = 1e-12
@@ -170,7 +170,7 @@ def check_interface_jumps(design: MotorDesign, src, coeffs,
 
 
 def check_power_balance(design: MotorDesign, coeffs) -> CheckResult:
-    pb = power_balance(design, coeffs, x_0=design.lam / 8)
+    pb = power_balance(design, line_table(design, coeffs), x_0=design.lam / 8)
     return _result(f"power-balance {_case_tag(design)}", pb.max_rel_dev, TOL_POWER)
 
 

@@ -30,7 +30,7 @@ from halmotor.fdcheck import (FdGrid, _band_fraction, midgap_comparison,
                               solve_scalar_poisson)
 from halmotor.halbach import fourier_coefficients, magnetization_steps
 from halmotor.laplace import FieldCoefficients, _region_terms, solve_coefficients
-from halmotor.quantities import _QUAD_NX, _QUAD_NY, thrust
+from halmotor.quantities import _QUAD_NX, _QUAD_NY, line_table, thrust
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def fd_force_check(design: MotorDesign, grid: FdGrid, coeffs: FieldCoefficients,
                                                           xi + grid.dx / 2)
     psi_hc = _interp_rows(grid.psi, design.h_c / grid.dy, grid.ny)
     f_fd = 2 * design.L * float((jbar * (-MU0 * psi_hc)).sum()) * grid.dx
-    f_an = float(thrust(design, coeffs, t, x_0).total[0])
+    f_an = float(thrust(design, line_table(design, coeffs), t, x_0).total[0])
     return ForceCheck(f_fd, f_an, abs(f_fd - f_an) / max(abs(f_an), 1e-30))
 
 

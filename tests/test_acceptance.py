@@ -18,7 +18,7 @@ from halmotor.halbach import fourier_coefficients
 from halmotor import laplace
 from halmotor.laplace import (airgap_B_y, closed_form_coefficients,
                               dense_coefficients, solve_coefficients)
-from halmotor.quantities import (attraction_force, back_emf,
+from halmotor.quantities import (attraction_force, back_emf, line_table,
                                  misalignment_force, power_balance,
                                  thrust_time_series)
 from halmotor.studio import ObjectiveConfig, StageSpec, sweep
@@ -172,7 +172,8 @@ def test_criterion_06_power_balance(capsys):
     for back_iron in (False, True):
         design = make_case(2, back_iron)
         _, coeffs = _solved(design)
-        pb = power_balance(design, coeffs, x_0=design.lam / 8, nt=720)
+        pb = power_balance(design, line_table(design, coeffs), x_0=design.lam / 8,
+                           nt=720)
         worst = max(worst, pb.max_rel_dev)
     _report(capsys, 6, worst <= 1e-9, time.perf_counter() - start, 1.0,
             f"sum(E_m I_m) vs u F_t over 720 samples: "
@@ -182,12 +183,12 @@ def test_criterion_06_power_balance(capsys):
 def test_criterion_07_emf_derivative(capsys):
     start = time.perf_counter()
     design = make_case(2, False)
-    _, coeffs = _solved(design)
+    table = line_table(design, _solved(design)[1])
     ts = np.arange(720) / (720 * design.f)
     dt = 1e-9
-    e = back_emf(design, coeffs, ts)
-    hi = back_emf(design, coeffs, ts + dt).flux_linkage
-    lo = back_emf(design, coeffs, ts - dt).flux_linkage
+    e = back_emf(design, table, ts)
+    hi = back_emf(design, table, ts + dt).flux_linkage
+    lo = back_emf(design, table, ts - dt).flux_linkage
     dev = float(np.abs((hi - lo) / (2 * dt) - e.emf).max())
     rel = dev / float(np.abs(e.emf).max())
     _report(capsys, 7, rel <= 1e-4, time.perf_counter() - start, 1.0,
@@ -227,8 +228,8 @@ def test_criterion_09_segmentation_trends(capsys):
     for back_iron in (False, True):
         for n_m in (2, 3, 4, 5):
             design = make_case(n_m, back_iron)
-            _, coeffs = _solved(design)
-            res = thrust_time_series(design, coeffs, x_0=0.03)
+            res = thrust_time_series(design, line_table(design, _solved(design)[1]),
+                                     x_0=0.03)
             means[n_m, back_iron] = res.mean
             ripples[n_m, back_iron] = res.ripple_pct
     open_means = [means[n, False] for n in (2, 3, 4, 5)]

@@ -142,9 +142,9 @@ def test_force_outputs(config_path, tmp_path):
     assert cli.main(["force", "--config", str(config_path), "--out", str(out),
                      "--x0", "0.004", "--nt", "36", "--nscan", "36"]) == 0
     design, trunc = load_design(str(config_path))
-    coeffs = laplace.solve_coefficients(
-        design, fourier_coefficients(design, trunc))
-    want = quantities.thrust_time_series(design, coeffs, 0.004, 36)
+    table = quantities.line_table(design, laplace.solve_coefficients(
+        design, fourier_coefficients(design, trunc)))
+    want = quantities.thrust_time_series(design, table, 0.004, 36)
     rows = _read_csv(out / "force_profile.csv")
     assert len(rows) == 36
     assert set(_column(rows, "ripple_pct")) == {want.ripple_pct}
@@ -157,7 +157,7 @@ def test_force_outputs(config_path, tmp_path):
     angle = _read_csv(out / "force_angle.csv")
     assert len(angle) == 36
     assert list(angle[0]) == ["x_0", "f_total"]
-    x0s, totals = quantities.force_angle_sweep(design, coeffs, 36)
+    x0s, totals = quantities.force_angle_sweep(design, table, 36)
     np.testing.assert_array_equal(_bits(_column(angle, "x_0")), _bits(x0s))
     np.testing.assert_array_equal(_bits(_column(angle, "f_total")), _bits(totals))
     assert _manifest(out)["outputs"] == ["force_angle.csv",
@@ -185,11 +185,11 @@ def test_emf_outputs(config_path, tmp_path):
                              + [f"i_{m}" for m in (1, 2, 3)]
                              + [f"thd_{m}" for m in (1, 2, 3)])
     design, trunc = load_design(str(config_path))
-    coeffs = laplace.solve_coefficients(
-        design, fourier_coefficients(design, trunc))
+    table = quantities.line_table(design, laplace.solve_coefficients(
+        design, fourier_coefficients(design, trunc)))
     ts = quantities.period_grid(design, 24)
-    want = quantities.emf_time_series(design, coeffs, 0.0, 24)
-    thd = quantities.emf_thd(design, coeffs)
+    want = quantities.emf_time_series(design, table, 0.0, 24)
+    thd = quantities.emf_thd(table)
     np.testing.assert_array_equal(_bits(_column(rows, "t")), _bits(ts))
     for m in (1, 2, 3):
         for key, values in (("lambda", want.flux_linkage[m - 1]),
@@ -808,8 +808,8 @@ def test_resolution_guard_leaves_admissible_optimize_unchanged(config_path, tmp_
 
 def test_floating_point_fault_is_physics_failure(config_path, tmp_path, capsys,
                                                  monkeypatch):
-    monkeypatch.setattr(quantities, "emf_thd", lambda design, coeffs:
-                        np.zeros(design.N_ph) / np.zeros(design.N_ph))
+    monkeypatch.setattr(quantities, "emf_thd", lambda table:
+                        np.zeros(len(table.lines)) / np.zeros(len(table.lines)))
     out = tmp_path / "emf"
     assert cli.main(["emf", "--config", str(config_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -17,8 +17,8 @@ from halmotor.errors import OffsetExceedsGap, ZeroVelocity
 from halmotor.halbach import fourier_coefficients
 from halmotor.laplace import airgap_B_y, solve_coefficients
 from halmotor.poisson import evaluate_fields_vector, solve_vector
-from halmotor.quantities import (_QUAD_NX, _lines, attraction_force, back_emf,
-                                 emf_thd, emf_time_series, force_angle_sweep,
+from halmotor.quantities import (_QUAD_NX, attraction_force, back_emf, emf_thd,
+                                 emf_time_series, force_angle_sweep, line_table,
                                  misalignment_force, optimal_shift, period_grid,
                                  power_balance, thrust, thrust_quadrature,
                                  thrust_time_series)
@@ -57,11 +57,19 @@ def _solved(design):
     return src, solve_coefficients(design, src)
 
 
+def _table(design):
+    return line_table(design, _solved(design)[1])
+
+
+@pytest.fixture(scope="module")
+def table(table1, coeffs):
+    return line_table(table1, coeffs)
+
+
 @pytest.mark.parametrize("n_m", [2, 3, 4, 5])
 def test_mean_force_and_ripple_open(n_m):
     design = make_case(n_m, back_iron=False)
-    _, coeffs = _solved(design)
-    res = thrust_time_series(design, coeffs, x_0=0.03)
+    res = thrust_time_series(design, _table(design), x_0=0.03)
     assert res.mean == pytest.approx(MEAN_FORCE_OPEN[n_m], rel=1e-12)
     assert res.ripple_pct == pytest.approx(RIPPLE_OPEN[n_m], rel=1e-12)
 
@@ -71,9 +79,9 @@ def test_ripple_is_relative_to_the_mean_magnitude(back_iron):
     # half a wavelength on, the array reverses and so does the thrust: the
     # mean changes sign, the ripple does not
     design = make_case(2, back_iron)
-    _, coeffs = _solved(design)
-    ahead = thrust_time_series(design, coeffs, x_0=0.03)
-    behind = thrust_time_series(design, coeffs, x_0=0.03 + design.lam / 2)
+    table = _table(design)
+    ahead = thrust_time_series(design, table, x_0=0.03)
+    behind = thrust_time_series(design, table, x_0=0.03 + design.lam / 2)
     assert ahead.mean > 0 > behind.mean
     assert behind.mean == pytest.approx(-ahead.mean, rel=1e-12)
     assert behind.ripple_pct == pytest.approx(ahead.ripple_pct, rel=1e-12)
@@ -83,8 +91,7 @@ def test_ripple_is_relative_to_the_mean_magnitude(back_iron):
 @pytest.mark.parametrize("n_m", [2, 3, 4, 5])
 def test_mean_force_iron(n_m):
     design = make_case(n_m, back_iron=True)
-    _, coeffs = _solved(design)
-    res = thrust_time_series(design, coeffs, x_0=0.03)
+    res = thrust_time_series(design, _table(design), x_0=0.03)
     assert res.mean == pytest.approx(MEAN_FORCE_IRON[n_m], rel=1e-12)
 
 
@@ -105,16 +112,15 @@ def test_back_iron_removal_reduction_uniform():
 @pytest.mark.parametrize("n_m", [2, 3, 4, 5])
 def test_optimal_shift_is_three_quarter_wavelength(n_m):
     design = make_case(n_m, back_iron=False)
-    _, coeffs = _solved(design)
-    x_best, f_best = optimal_shift(design, coeffs)
+    x_best, f_best = optimal_shift(design, _table(design))
     assert abs(x_best - 0.03) < 1e-12
     assert f_best > 0
 
 
-def test_force_angle_sweep_matches_thrust(table1, coeffs):
-    x0s, totals = force_angle_sweep(table1, coeffs, n_scan=36)
+def test_force_angle_sweep_matches_thrust(table1, table):
+    x0s, totals = force_angle_sweep(table1, table, n_scan=36)
     for i in (0, 9, 27):
-        direct = thrust(table1, coeffs, 0.0, x_0=float(x0s[i]))
+        direct = thrust(table1, table, 0.0, x_0=float(x0s[i]))
         assert totals[i] == pytest.approx(float(direct.total[0]), rel=1e-13)
 
 
@@ -129,16 +135,15 @@ SYNTHESIS_DESIGNS = [MotorDesign(**TABLE1),
 def synthesis_case(request):
     design, n_max = request.param
     src = fourier_coefficients(design, HarmonicTruncation(n_max))
-    return design, solve_coefficients(design, src)
+    return design, line_table(design, solve_coefficients(design, src))
 
 
-def _direct_phase_thrust(design, coeffs, t, shifts):
+def _direct_phase_thrust(design, table, t, shifts):
     """Per-phase thrust by an explicit sum over harmonics, one complex
     exponential per line and shift."""
-    nk, lines = _lines(design, coeffs)
     at = np.zeros((design.N_ph, len(shifts)), dtype=complex)
-    for n in range(len(nk)):
-        at += lines[:, n, None] * np.exp(1j * nk[n] * shifts)
+    for n in range(len(table.nk)):
+        at += table.lines[:, n, None] * np.exp(1j * table.nk[n] * shifts)
     return -8 * MU0 * design.L * all_phase_currents(design, t) * at.real
 
 
@@ -149,40 +154,40 @@ def _assert_close_to_scale(got, want, tol=1e-13):
 @pytest.mark.parametrize("nt", [24, 720])
 def test_thrust_time_series_matches_direct_sum(synthesis_case, nt):
     # nt = 24 is below n_max, so harmonics alias onto shared FFT bins
-    design, coeffs = synthesis_case
+    design, table = synthesis_case
     x_0 = 0.0113
-    res = thrust_time_series(design, coeffs, x_0, nt)
-    want = _direct_phase_thrust(design, coeffs, res.t, x_0 + design.u * res.t)
+    res = thrust_time_series(design, table, x_0, nt)
+    want = _direct_phase_thrust(design, table, res.t, x_0 + design.u * res.t)
     _assert_close_to_scale(res.per_phase, want)
     _assert_close_to_scale(res.total, want.sum(axis=0))
     # the same times given one by one take the single-origin route
-    single = thrust(design, coeffs, res.t, x_0)
+    single = thrust(design, table, res.t, x_0)
     _assert_close_to_scale(single.per_phase, res.per_phase)
 
 
 @pytest.mark.parametrize("n_scan", [36, 360])
 def test_force_angle_sweep_matches_direct_sum(synthesis_case, n_scan):
-    design, coeffs = synthesis_case
-    x0s, totals = force_angle_sweep(design, coeffs, n_scan)
+    design, table = synthesis_case
+    x0s, totals = force_angle_sweep(design, table, n_scan)
     np.testing.assert_array_equal(x0s, np.arange(n_scan) * design.lam / n_scan)
-    _assert_close_to_scale(totals, _direct_phase_thrust(design, coeffs, 0.0, x0s)
+    _assert_close_to_scale(totals, _direct_phase_thrust(design, table, 0.0, x0s)
                            .sum(axis=0))
 
 
-def test_thrust_scalar_and_array_time_agree(table1, coeffs):
+def test_thrust_scalar_and_array_time_agree(table1, table):
     ts = np.array([0.0, 1.3e-3, 7.7e-3])
-    batch = thrust(table1, coeffs, ts, x_0=0.004)
+    batch = thrust(table1, table, ts, x_0=0.004)
     for j, t in enumerate(ts):
-        single = thrust(table1, coeffs, float(t), x_0=0.004)
+        single = thrust(table1, table, float(t), x_0=0.004)
         assert single.total[0] == pytest.approx(float(batch.total[j]), rel=1e-13)
         np.testing.assert_allclose(single.per_phase[:, 0], batch.per_phase[:, j],
                                    rtol=1e-13)
 
 
-def test_thrust_against_field_quadrature(table1, coeffs):
+def test_thrust_against_field_quadrature(table1, coeffs, table):
     """Independent route: midpoint quadrature of J B_y over the coils."""
     t, x_0 = 1.3e-3, 0.004
-    analytic = float(thrust(table1, coeffs, t, x_0).total[0])
+    analytic = float(thrust(table1, table, t, x_0).total[0])
     quad = thrust_quadrature(table1, coeffs, t, x_0)
     assert abs(quad - analytic) < 1e-3 * abs(analytic)
 
@@ -194,8 +199,9 @@ def test_thrust_quadrature_tracks_closed_form(design):
     """With exact slot-cell averages the quadrature leaves only the smooth
     B_y sampling error, far below the 1e-3 bound above."""
     _, coeffs = _solved(design)
+    table = line_table(design, coeffs)
     for t, x_0 in ((0.0, 0.03), (1.3e-3, 0.004), (7.7e-3, 0.031)):
-        analytic = float(thrust(design, coeffs, t, x_0).total[0])
+        analytic = float(thrust(design, table, t, x_0).total[0])
         quad = thrust_quadrature(design, coeffs, t, x_0)
         assert abs(quad - analytic) < 1e-5 * abs(analytic), (t, x_0)
 
@@ -220,7 +226,7 @@ def test_thrust_quadrature_is_independent_of_the_line_table(table1, coeffs, monk
     def forbidden(*args, **kwargs):
         raise AssertionError("thrust_quadrature reached the line table")
 
-    monkeypatch.setattr(quantities, "_lines", forbidden)
+    monkeypatch.setattr(quantities, "line_table", forbidden)
     monkeypatch.setattr(quantities, "_synthesize", forbidden)
     assert thrust_quadrature(table1, coeffs, 1.3e-3, 0.004) == want
 
@@ -241,25 +247,25 @@ def test_thrust_quadrature_memory(table1, n_max, bound_mib):
     assert peak <= bound_mib * 2 ** 20
 
 
-def test_power_balance_is_machine_exact(table1, coeffs):
-    bal = power_balance(table1, coeffs, x_0=0.004)
+def test_power_balance_is_machine_exact(table1, table):
+    bal = power_balance(table1, table, x_0=0.004)
     assert bal.max_rel_dev < 1e-12
     assert bal.t.shape == bal.electrical.shape == bal.mechanical.shape == (720,)
 
 
 def test_power_balance_requires_motion():
     frozen = MotorDesign(**TABLE1, f=0.0)
-    _, coeffs = _solved(frozen)
+    table = _table(frozen)
     with pytest.raises(ZeroVelocity):
-        power_balance(frozen, coeffs)
+        power_balance(frozen, table)
 
 
-def test_emf_is_flux_linkage_derivative(table1, coeffs):
+def test_emf_is_flux_linkage_derivative(table1, table):
     ts = np.linspace(0.0, 1 / table1.f, 25)
     dt = 1e-9
-    e = back_emf(table1, coeffs, ts)
-    lo = back_emf(table1, coeffs, ts - dt).flux_linkage
-    hi = back_emf(table1, coeffs, ts + dt).flux_linkage
+    e = back_emf(table1, table, ts)
+    lo = back_emf(table1, table, ts - dt).flux_linkage
+    hi = back_emf(table1, table, ts + dt).flux_linkage
     numeric = (hi - lo) / (2 * dt)
     scale = np.abs(e.emf).max()
     assert np.abs(numeric - e.emf).max() < 1e-4 * scale
@@ -279,7 +285,8 @@ def test_flux_linkage_against_vector_potential_quadrature(design):
     nodes, weights = np.polynomial.legendre.leggauss(12)
     ys, wy = (nodes + 1) * design.h_c / 2, weights * design.h_c / 2
     points = ((0.0, 0.03), (1.3e-3, 0.004), (7.7e-3, 0.031))
-    closed = np.stack([back_emf(design, coeffs, t, x_0).flux_linkage[:, 0]
+    table = line_table(design, coeffs)
+    closed = np.stack([back_emf(design, table, t, x_0).flux_linkage[:, 0]
                        for t, x_0 in points])
     quad = np.empty_like(closed)
     for i, (t, x_0) in enumerate(points):
@@ -297,11 +304,11 @@ def test_flux_linkage_against_vector_potential_quadrature(design):
 @pytest.mark.parametrize("nt", [24, 720])
 def test_emf_time_series_matches_per_sample_route(n_ph, nt):
     design = MotorDesign(**TABLE1, N_ph=n_ph, back_iron=True)
-    _, coeffs = _solved(design)
+    table = _table(design)
     x_0 = 0.0113
-    grid = emf_time_series(design, coeffs, x_0, nt)
+    grid = emf_time_series(design, table, x_0, nt)
     ts = period_grid(design, nt)
-    each = back_emf(design, coeffs, ts, x_0)
+    each = back_emf(design, table, ts, x_0)
     np.testing.assert_array_equal(grid.t, ts)
     np.testing.assert_array_equal(grid.current, each.current)
     for got, want in ((grid.flux_linkage, each.flux_linkage), (grid.emf, each.emf)):
@@ -309,14 +316,14 @@ def test_emf_time_series_matches_per_sample_route(n_ph, nt):
             _assert_close_to_scale(got[m], want[m])
 
 
-def test_emf_peak_frozen(table1, coeffs):
-    e = back_emf(table1, coeffs, np.arange(720) / (720 * table1.f))
+def test_emf_peak_frozen(table1, table):
+    e = back_emf(table1, table, np.arange(720) / (720 * table1.f))
     assert np.abs(e.emf).max() == pytest.approx(EMF_PEAK, rel=1e-12)
     assert e.flux_linkage.shape == e.emf.shape == e.current.shape == (3, 720)
 
 
-def test_emf_thd_equal_across_phases(table1, coeffs):
-    thd = emf_thd(table1, coeffs)
+def test_emf_thd_equal_across_phases(table):
+    thd = emf_thd(table)
     assert thd.shape == (3,)
     np.testing.assert_allclose(thd, THD, rtol=1e-12)
 
@@ -326,12 +333,12 @@ def test_emf_thd_equal_across_phases(table1, coeffs):
 def test_emf_thd_matches_sampled_spectrum(back_iron, n_ph):
     # 4096 samples resolve every line up to n_max = 199 without aliasing
     design = dataclasses.replace(make_case(2, back_iron), N_ph=n_ph)
-    _, coeffs = _solved(design)
+    table = _table(design)
     nt = 4096
-    e = back_emf(design, coeffs, np.arange(nt) / (nt * design.f), x_0=0.003)
+    e = back_emf(design, table, np.arange(nt) / (nt * design.f), x_0=0.003)
     spectrum = np.abs(np.fft.rfft(e.emf, axis=1))
     want = np.sqrt((spectrum[:, 2:] ** 2).sum(axis=1)) / spectrum[:, 1]
-    np.testing.assert_allclose(emf_thd(design, coeffs), want, rtol=1e-12)
+    np.testing.assert_allclose(emf_thd(table), want, rtol=1e-12)
 
 
 def test_attraction_frozen_and_quadrature(table1, coeffs):
@@ -377,8 +384,7 @@ def test_misalignment_rejects_offset_at_gap(table1):
 
 def test_thrust_zero_current_is_zero():
     dead = MotorDesign(**TABLE1, J_max=0.0)
-    _, coeffs = _solved(dead)
-    res = thrust_time_series(dead, coeffs, x_0=0.03)
+    res = thrust_time_series(dead, _table(dead), x_0=0.03)
     assert res.mean == 0.0
     assert res.ripple_pct == 0.0
     np.testing.assert_array_equal(res.total, 0.0)
