@@ -272,12 +272,14 @@ def closed_form_coefficients(design: MotorDesign,
     """Closed-form solution of the boundary systems, the production route
     behind `solve_coefficients`.
 
-    Written in the equilibrated unknowns with e_a = e^-a, e_d = e^{-nk h_m}
-    and e_b = e_a e_d, so every exponential is at most 1.  It broadcasts
-    over the harmonics with no matrix formed.  The back-iron form divides
-    by 1 - e_b^2, so there every difference 1 - e^-x is taken as
+    Written in the equilibrated unknowns with e_a = e^-a and e_d =
+    e^{-nk h_m}, so every exponential is at most 1.  It broadcasts over the
+    harmonics with no matrix formed.  Every difference 1 - e^-x is taken as
     -expm1(-x): with a long wavelength over thin layers, 1 - e^-x would
-    lose the digits that the division then magnifies.
+    lose the digits that the back-iron form's division by 1 - e_b^2 then
+    magnifies.  The open-back form is grouped so that S + K and S - K,
+    which cancel on their own for some harmonics, are each formed once and
+    then only scaled: every unknown keeps its own relative accuracy.
     """
     nk, S, K = _sources(design, source)
     ea = np.exp(-nk * design.g_e)
@@ -295,13 +297,12 @@ def closed_form_coefficients(design: MotorDesign,
         x4 = (S * one_ea2 + K * (one_eaeb + ea ** 2 * one_ed)) / D
         cols = [x1, x2, x3, x4]
     else:
-        eb = ea * ed
-        x1 = 0.5 * (S - K) * (1 - ed)
-        x2 = -0.5 * (S - K) * (ea - eb)
+        one_ed = -np.expm1(-nk * design.h_m)
+        x1 = 0.5 * (S - K) * one_ed
+        x2 = -ea * x1
         x3 = -0.5 * (S - K)
-        x4 = 0.5 * K * (1 + ea ** 2 - ea * eb) + 0.5 * S * (1 - ea ** 2 + ea * eb)
-        x5 = (0.5 * S * (ed - ea * eb - 1 + eb ** 2)
-              + 0.5 * K * (ed + ea * eb - 1 - eb ** 2))
+        x4 = 0.5 * (S + K) + 0.5 * (K - S) * ea ** 2 * one_ed
+        x5 = -0.5 * one_ed * ((S + K) + (S - K) * ea ** 2 * ed)
         cols = [x1, x2, x3, x4, x5]
     return _pack(design, source, np.stack(cols, axis=1))
 

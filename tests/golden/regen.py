@@ -112,9 +112,9 @@ def _csv_report(want: str, got: str) -> str:
             if [r[j] for r in a[1:]] != [r[j] for r in b[1:]]:
                 parts.append(f"{name}: text changed")
             continue
-        scale = max(map(abs, old), default=0.0) or 1.0
-        rel = [abs(x - y) / scale for x, y in zip(old, new) if x != y
-               or (x != x) != (y != y)]
+        scale = max((abs(x) for x in old if x == x), default=0.0) or 1.0
+        rel = [abs(x - y) / scale for x, y in zip(old, new)
+               if x != y and not (x != x and y != y)]  # NaN equals NaN
         if rel:
             tiny = sum(r <= 1e-12 for r in rel)
             parts.append(f"{name}: {len(rel)} cells, max {max(rel):.2e} of scale, "

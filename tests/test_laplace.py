@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,43 @@ def test_back_iron_closed_form_keeps_digits_on_thin_layers():
     coeffs = solve_coefficients(design, fourier_coefficients(design,
                                                              HarmonicTruncation(9)))
     assert np.isfinite(coeffs.stack()).all()
+
+
+def _mp_open_back_solve(design, source):
+    """(H, 5) open-back unknowns from a 60-digit solve of the equilibrated
+    rows (`laplace._rows`), with the same float nk, S and K as the closed
+    form."""
+    nk, S, K = laplace._sources(design, source)
+    out = []
+    with mpmath.workdps(60):
+        for nki, s, k in zip(nk.tolist(), S.tolist(), K.tolist()):
+            ea = mpmath.exp(-mpmath.mpf(nki) * mpmath.mpf(design.g_e))
+            ed = mpmath.exp(-mpmath.mpf(nki) * mpmath.mpf(design.h_m))
+            A = mpmath.matrix([[ea, 1, 0, 0, 0],
+                               [1, -ea, -ed, 1, 0],
+                               [-1, -ea, ed, 1, 0],
+                               [0, 0, 1, -ed, 1],
+                               [0, 0, -1, -ed, 1]])
+            out.append(list(mpmath.lu_solve(A, mpmath.matrix([0, s, k, -s, -k]))))
+    return out
+
+
+@pytest.mark.parametrize("n_m", [2, 5])
+@pytest.mark.parametrize("h_m", [7e-3, 1e-6, 1e-9])
+def test_open_back_closed_form_matches_exact_solve(n_m, h_m, trunc):
+    """Each open-back unknown keeps its own relative accuracy: thin magnets
+    (1 - e^{-nk h_m} without expm1) and harmonics where S + K nearly
+    cancels (n = 29 on table1) lost up to all of x1, x4 or x5."""
+    design = MotorDesign(**TABLE1 | {"N_m": n_m, "h_m": h_m})
+    source = fourier_coefficients(design, trunc)
+    got = closed_form_coefficients(design, source).stack()
+    want = _mp_open_back_solve(design, source)
+    worst = 0.0
+    for row, ref in zip(got, want):
+        for value, exact in zip(row.tolist(), ref):
+            err = abs(mpmath.mpf(value) - exact)
+            worst = max(worst, float(err / abs(exact)) if exact else float(err))
+    assert worst <= 1e-13
 
 
 def test_frozen_spot_values(table1, source, coeffs):
