@@ -83,9 +83,10 @@ def run_all(dest: Path) -> None:
 
 
 def golden_files(root: Path) -> list[Path]:
-    """Every output file under root, relative to it, in sorted order."""
-    return sorted(p.relative_to(root) for p in root.rglob("*")
-                  if p.is_file() and p.parent != root)
+    """Every output file under root's design folders, relative to root, in
+    sorted order."""
+    return sorted(p.relative_to(root) for design in DESIGNS
+                  for p in (root / design).rglob("*") if p.is_file())
 
 
 def _float(cell: str) -> float | None:
