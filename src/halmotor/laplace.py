@@ -277,9 +277,9 @@ def closed_form_coefficients(design: MotorDesign,
     harmonics with no matrix formed.  Every difference 1 - e^-x is taken as
     -expm1(-x): with a long wavelength over thin layers, 1 - e^-x would
     lose the digits that the back-iron form's division by 1 - e_b^2 then
-    magnifies.  The open-back form is grouped so that S + K and S - K,
-    which cancel on their own for some harmonics, are each formed once and
-    then only scaled: every unknown keeps its own relative accuracy.
+    magnifies.  Both forms are grouped so that S + K and S - K, which
+    cancel on their own for some harmonics, are each formed once and then
+    only scaled: every unknown keeps its own relative accuracy.
     """
     nk, S, K = _sources(design, source)
     ea = np.exp(-nk * design.g_e)
@@ -287,14 +287,13 @@ def closed_form_coefficients(design: MotorDesign,
     if design.back_iron:
         a, d = nk * design.g_e, nk * design.h_m
         D = -2 * np.expm1(-2 * (a + d))
+        sp, sm = S + K, S - K
         one_ed = -np.expm1(-d)
-        one_ed2 = -np.expm1(-2 * d)
-        one_ea2 = -np.expm1(-2 * a)
         one_eaeb = -np.expm1(-(2 * a + d))
-        x1 = (S * one_ed2 - K * one_ed ** 2) / D
+        x1 = one_ed * (sm + ed * sp) / D
         x2 = -ea * x1
-        x3 = (K * (one_ed + one_eaeb) - S * ed * one_ea2) / D
-        x4 = (S * one_ea2 + K * (one_eaeb + ea ** 2 * one_ed)) / D
+        x3 = (sp * one_ed - sm * one_eaeb) / D
+        x4 = (sp * one_eaeb - ea ** 2 * sm * one_ed) / D
         cols = [x1, x2, x3, x4]
     else:
         one_ed = -np.expm1(-nk * design.h_m)

@@ -87,23 +87,44 @@ def test_back_iron_closed_form_keeps_digits_on_thin_layers():
     assert np.isfinite(coeffs.stack()).all()
 
 
-def _mp_open_back_solve(design, source):
-    """(H, 5) open-back unknowns from a 60-digit solve of the equilibrated
-    rows (`laplace._rows`), with the same float nk, S and K as the closed
-    form."""
+def _mp_solve(design, source):
+    """(H, 5) open-back or (H, 4) back-iron unknowns from a 60-digit solve
+    of the equilibrated rows (`laplace._rows`), with the same float nk, S
+    and K as the closed form."""
     nk, S, K = laplace._sources(design, source)
     out = []
     with mpmath.workdps(60):
         for nki, s, k in zip(nk.tolist(), S.tolist(), K.tolist()):
             ea = mpmath.exp(-mpmath.mpf(nki) * mpmath.mpf(design.g_e))
             ed = mpmath.exp(-mpmath.mpf(nki) * mpmath.mpf(design.h_m))
-            A = mpmath.matrix([[ea, 1, 0, 0, 0],
-                               [1, -ea, -ed, 1, 0],
-                               [-1, -ea, ed, 1, 0],
-                               [0, 0, 1, -ed, 1],
-                               [0, 0, -1, -ed, 1]])
-            out.append(list(mpmath.lu_solve(A, mpmath.matrix([0, s, k, -s, -k]))))
+            if design.back_iron:
+                A = mpmath.matrix([[ea, 1, 0, 0],
+                                   [1, -ea, -ed, 1],
+                                   [-1, -ea, ed, 1],
+                                   [0, 0, -1, -ed]])
+                rhs = [0, s, k, -k]
+            else:
+                A = mpmath.matrix([[ea, 1, 0, 0, 0],
+                                   [1, -ea, -ed, 1, 0],
+                                   [-1, -ea, ed, 1, 0],
+                                   [0, 0, 1, -ed, 1],
+                                   [0, 0, -1, -ed, 1]])
+                rhs = [0, s, k, -s, -k]
+            out.append(list(mpmath.lu_solve(A, mpmath.matrix(rhs))))
     return out
+
+
+def _worst_relative_error(design, trunc) -> float:
+    """The closed form's worst relative error over every unknown of every
+    harmonic, against `_mp_solve`."""
+    source = fourier_coefficients(design, trunc)
+    got = closed_form_coefficients(design, source).stack()
+    worst = 0.0
+    for row, ref in zip(got, _mp_solve(design, source)):
+        for value, exact in zip(row.tolist(), ref):
+            err = abs(mpmath.mpf(value) - exact)
+            worst = max(worst, float(err / abs(exact)) if exact else float(err))
+    return worst
 
 
 @pytest.mark.parametrize("n_m", [2, 5])
@@ -113,15 +134,17 @@ def test_open_back_closed_form_matches_exact_solve(n_m, h_m, trunc):
     (1 - e^{-nk h_m} without expm1) and harmonics where S + K nearly
     cancels (n = 29 on table1) lost up to all of x1, x4 or x5."""
     design = MotorDesign(**TABLE1 | {"N_m": n_m, "h_m": h_m})
-    source = fourier_coefficients(design, trunc)
-    got = closed_form_coefficients(design, source).stack()
-    want = _mp_open_back_solve(design, source)
-    worst = 0.0
-    for row, ref in zip(got, want):
-        for value, exact in zip(row.tolist(), ref):
-            err = abs(mpmath.mpf(value) - exact)
-            worst = max(worst, float(err / abs(exact)) if exact else float(err))
-    assert worst <= 1e-13
+    assert _worst_relative_error(design, trunc) <= 1e-13
+
+
+@pytest.mark.parametrize("n_m", [2, 5])
+@pytest.mark.parametrize("h_m", [7e-3, 1e-6, 1e-9])
+def test_back_iron_closed_form_matches_exact_solve(n_m, h_m, trunc):
+    """Each back-iron unknown keeps its own relative accuracy: summed from
+    S and K terms instead of S + K and S - K, x1 lost 2.4e-2 at n = 31 on
+    table1, x4 2.0e-2 with h_m = 1 um and x3 4.6e-11 with h_m = 1 nm."""
+    design = MotorDesign(**TABLE1 | {"N_m": n_m, "h_m": h_m}, back_iron=True)
+    assert _worst_relative_error(design, trunc) <= 1e-13
 
 
 def test_frozen_spot_values(table1, source, coeffs):
