@@ -18,10 +18,10 @@ Defaults (used when a flag is not given):
                                    (at most 2**20 points)
     --ymax          g_e + h_m      fields: top of the mapped band (>= 0; at
                                    most g_e + h_m with back iron)
-    --x0            force-angle optimum (force); 0.0 (emf)
+    --x0            maximum-mean-thrust shift (force); 0.0 (emf)
     --nt            720            force, emf: samples per electrical period
                                    (the EMF THD is exact and does not use it)
-    --nscan         360            force: force-angle sweep points
+    --nscan         360            force: rows of force_angle.csv only
     --g0            config value   normal (gap_offset_m, default 0)
     normal offsets  13 rows from 0 to g0 (a single row when g0 = 0)
     --coarse        9              optimize: coarse points per axis
@@ -237,7 +237,7 @@ def cmd_force(args: argparse.Namespace, design: MotorDesign,
     coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
     table = quantities.line_table(design, coeffs)
     x0s, totals = quantities.force_angle_sweep(design, table, args.nscan)
-    x_0 = float(x0s[np.argmax(totals)]) if args.x0 is None else args.x0
+    x_0 = quantities.optimal_shift(design, table)[0] if args.x0 is None else args.x0
     force = quantities.thrust_time_series(design, table, x_0, args.nt)
     profile = ({"t": force.t} | _phases("f_phase_", force.per_phase)
                | {"f_total": force.total, "f_mean": np.full_like(force.t, force.mean),
@@ -425,11 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("force", cmd_force, "thrust profile and force-angle sweep")
     p.add_argument("--x0", type=_finite_float, default=None,
-                   help="array shift in m (default: force-angle optimum)")
+                   help="array shift in m (default: maximum-mean-thrust shift)")
     p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
     p.add_argument("--nscan", type=_count_at_least(1), default=360,
-                   help="force-angle sweep points (default 360)")
+                   help="force-angle sweep points, the rows of "
+                        "force_angle.csv (default 360)")
 
     p = sub("emf", cmd_emf, "flux linkage, back-EMF, and phase currents")
     p.add_argument("--x0", type=_finite_float, default=0.0,

@@ -235,6 +235,13 @@ def slot_offsets(design: MotorDesign) -> np.ndarray:
     return np.arange(1, design.N_ph + 1) - 1.5
 
 
+def phase_phasors(design: MotorDesign) -> np.ndarray:
+    """Complex amplitude of every go side's current density, shape (N_ph,):
+    side m carries Re(phasor_m e^{i omega t}) = `all_phase_currents`."""
+    sign, lag = _SLOT_PHASES[design.N_ph]
+    return sign[:, 0] * design.J_max * np.exp(1j * (design.phi_0 - lag[:, 0]))
+
+
 def all_phase_currents(design: MotorDesign, t) -> np.ndarray:
     """Current density of every go side, shape (N_ph, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))

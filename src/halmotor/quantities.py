@@ -2,13 +2,16 @@
 
 Everything here consumes the region-I amplitudes A1 of a solved harmonic
 set.  The slot layout and the phase currents come from `config`
-(`slot_offsets`, `all_phase_currents`, `slot_current_profile`); the
+(`slot_offsets`, `all_phase_currents`, `phase_phasors`,
+`slot_current_profile`); the
 array is displaced by u t + x_0.  Forces are per stator unit cell (one
-wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, flux
-linkage, EMF and EMF THD all come from one slot-window `LineTable`, built
-from solved coefficients by `line_table`, and every one of them takes
-that table: a caller that needs several quantities of one design builds
-it once.
+wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, the
+optimal shift, flux linkage, EMF and EMF THD all come from one slot-window
+`LineTable`, built from solved coefficients by `line_table`, and every one
+of them takes that table: a caller that needs several quantities of one
+design builds it once.  The optimal shift is closed-form: only line n = 1
+adds to the period-mean thrust, so `optimal_shift` reads it off that
+column with no scan.
 
 One routine, `_synthesize`, sums the table over the harmonics at array
 shifts.  The force-angle scan and one electrical period are uniform shift
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (MU0, HarmonicTruncation, MotorDesign, all_phase_currents,
-                     slot_current_profile, slot_offsets)
+                     phase_phasors, slot_current_profile, slot_offsets)
 from .errors import OffsetExceedsGap, ZeroVelocity
 from .halbach import fourier_coefficients
 from .laplace import FieldCoefficients, _region_terms, solve_coefficients
@@ -210,13 +213,18 @@ def force_angle_sweep(design: MotorDesign, table: LineTable,
     return x0s, _force(design, table, 0.0, 0.0, n_scan).total
 
 
-def optimal_shift(design: MotorDesign, table: LineTable,
-                  n_scan: int = 360) -> tuple[float, float]:
-    """Array shift maximizing total thrust at t = 0, by dense scan, and that
-    thrust."""
-    x0s, totals = force_angle_sweep(design, table, n_scan)
-    i = int(np.argmax(totals))
-    return float(x0s[i]), float(totals[i])
+def optimal_shift(design: MotorDesign, table: LineTable) -> tuple[float, float]:
+    """The array shift x* in [0, lam] of maximum mean thrust over an
+    electrical period, and that mean.
+
+    Go side m carries Re(a_m e^{i omega t}), a_m its `phase_phasors`, and
+    sees line n at e^{i n k (u t + x_0)} with k u = omega, so only n = 1
+    survives the period mean: Re(C_1 e^{i k x_0}) with C_1 = -4 mu0 L
+    sum_m conj(a_m) lines[m, n = 1].  Its maximum |C_1| is at
+    k x* = -arg C_1 mod 2 pi, exact and with no scan.
+    """
+    C_1 = -4 * MU0 * design.L * (phase_phasors(design).conj() @ table.lines[:, 0])
+    return float(-np.angle(C_1) % (2 * np.pi) / design.k), float(abs(C_1))
 
 
 def _emf(design: MotorDesign, table: LineTable, ts, origins, N: int) -> EmfResult:

@@ -174,13 +174,15 @@ def objective(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
 
 def evaluate_design(design: MotorDesign, stage: StageSpec, obj: ObjectiveConfig,
                     trunc: HarmonicTruncation | None = None) -> tuple[StageMetrics, float]:
-    """Solve one design point end to end: fields, optimal shift (360-point
-    scan), mean thrust over a 720-sample period, stage metrics, objective
-    score.  The scan, the period and the THD share one slot-window table."""
+    """Solve one design point end to end: fields, the maximum-mean-thrust
+    shift (closed form, so the score does not depend on phi_0), mean thrust
+    and ripple over a 720-sample period at that shift, stage metrics,
+    objective score.  The shift, the period and the THD share one
+    slot-window table."""
     trunc = trunc or HarmonicTruncation()
     coeffs = solve_coefficients(design, fourier_coefficients(design, trunc))
     table = line_table(design, coeffs)
-    x_best, _ = optimal_shift(design, table, 360)
+    x_best, _ = optimal_shift(design, table)
     series = thrust_time_series(design, table, x_best, 720)
     metrics = stage_metrics(design, stage, series.mean)
     thd = float(emf_thd(table).max()) if obj.needs_thd else None

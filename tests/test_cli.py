@@ -174,6 +174,17 @@ def test_force_default_shift_hits_optimum(config_path, tmp_path, capsys):
     assert "x_0 = 0.03" in capsys.readouterr().out
 
 
+def test_force_nscan_sizes_the_scan_only(config_path, tmp_path, capsys):
+    # the default shift is computed, not read off the force-angle scan
+    printed = []
+    for extra in ([], ["--nscan", "7"]):
+        assert cli.main(["force", "--config", str(config_path), "--out",
+                         str(tmp_path / str(len(extra))), "--nt", "24", *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert len(_read_csv(tmp_path / "2" / "force_angle.csv")) == 7
+    assert printed[0] == printed[1]
+
+
 def test_emf_outputs(config_path, tmp_path):
     out = tmp_path / "emf"
     assert cli.main(["emf", "--config", str(config_path), "--out", str(out),

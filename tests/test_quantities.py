@@ -117,6 +117,50 @@ def test_optimal_shift_is_three_quarter_wavelength(n_m):
     assert f_best > 0
 
 
+# table1 and its 5-phase back-iron N_m 5 variant, each at three time origins
+SHIFT_CASES = [(n_ph, n_m, back_iron, phi_0)
+               for n_ph, n_m, back_iron in ((3, 2, False), (5, 5, True))
+               for phi_0 in (0.0, 0.3, 1.0)]
+
+
+def _shift_case(n_ph, n_m, back_iron, phi_0):
+    return MotorDesign(**TABLE1 | {"N_m": n_m}, N_ph=n_ph, back_iron=back_iron,
+                       phi_0=phi_0)
+
+
+def _assert_shift_beats_the_scan(design, table, shift=optimal_shift):
+    """The mean thrust over a sampled period at shift(design, table) is the
+    mean it reports, and no point of a 360-shift scan does better."""
+    x_best, mean = shift(design, table)
+    at_best = thrust_time_series(design, table, x_best).mean
+    assert at_best == pytest.approx(mean, rel=1e-13)
+    x0s, _ = force_angle_sweep(design, table, 360)
+    scanned = max(thrust_time_series(design, table, float(x)).mean for x in x0s)
+    assert at_best >= scanned - 1e-13 * abs(scanned)
+
+
+@pytest.mark.parametrize("case", SHIFT_CASES,
+                         ids=lambda c: f"N_ph{c[0]}-N_m{c[1]}-phi{c[3]}")
+def test_optimal_shift_mean_beats_every_scan_shift(case):
+    """At phi_0 = 0.3 the t = 0 scan argmax lost 1.2e-3 of the mean on
+    table1 (5.4e-6 on the 5-phase iron design)."""
+    design = _shift_case(*case)
+    _assert_shift_beats_the_scan(design, _table(design))
+
+
+def test_optimal_shift_with_a_planted_sign_error_fails():
+    """k x* = +arg C_1 instead of -arg C_1 drives the array at a negative
+    mean thrust, and the scan comparison says so."""
+    design = _shift_case(3, 2, False, 0.3)
+
+    def flipped(design, table):
+        x_best, mean = optimal_shift(design, table)
+        return -x_best % design.lam, mean
+
+    with pytest.raises(AssertionError):
+        _assert_shift_beats_the_scan(design, _table(design), flipped)
+
+
 def test_force_angle_sweep_matches_thrust(table1, table):
     x0s, totals = force_angle_sweep(table1, table, n_scan=36)
     for i in (0, 9, 27):

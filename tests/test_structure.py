@@ -1,5 +1,5 @@
 """Package structure: each command builds one line table, and no private
-name of `quantities` or `studio` is used outside its module."""
+name of `config`, `quantities` or `studio` is used outside its module."""
 import ast
 import sys
 from pathlib import Path
@@ -11,7 +11,7 @@ from halmotor import cli, quantities, studio, verify
 from conftest import make_case
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "halmotor"
-GUARDED = ("quantities", "studio")
+GUARDED = ("config", "quantities", "studio")
 
 
 @pytest.fixture
@@ -98,5 +98,7 @@ def test_private_use_check_catches_a_leak():
                "cap = s._AXES\n")
     assert private_uses("cli", planted) == ["cli:1 imports quantities._synthesize",
                                             "cli:3 reads s._AXES"]
+    assert private_uses("quantities", "from .config import _SLOT_PHASES\n") == [
+        "quantities:1 imports config._SLOT_PHASES"]
     # a module's own private names are its business
     assert private_uses("studio", "from . import studio\nstudio._AXES\n") == []
