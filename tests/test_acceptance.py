@@ -15,7 +15,6 @@ import pytest
 from halmotor import cli, verify
 from halmotor.config import MU0, HarmonicTruncation, MotorDesign
 from halmotor.halbach import fourier_coefficients
-from halmotor import laplace
 from halmotor.laplace import (airgap_B_y, closed_form_coefficients,
                               dense_coefficients, solve_coefficients)
 from halmotor.quantities import (attraction_force, back_emf, line_table,
@@ -25,6 +24,7 @@ from halmotor.studio import ObjectiveConfig, StageSpec, sweep
 
 from conftest import ALL_CASES, make_case
 from references import midgap_convergence
+from test_cli import _flip_dense_row
 from test_halbach import _quad_coefficient
 
 
@@ -96,14 +96,7 @@ def test_criterion_02_fails_under_a_planted_fault(route, monkeypatch):
     # a sign error in either route alone fails the criterion
     closed_form = closed_form_coefficients
     if route == "dense":
-        original = laplace._scaled_system
-
-        def fault(*args):
-            A, rhs = original(*args)
-            A[:, 0, 1] = -A[:, 0, 1]
-            return A, rhs
-
-        monkeypatch.setattr(laplace, "_scaled_system", fault)
+        _flip_dense_row(monkeypatch)   # the fault ledger's closed-vs-dense row
     else:
         def closed_form(design, src):
             coeffs = closed_form_coefficients(design, src)

@@ -298,8 +298,73 @@ def test_verify_reports_an_fd_grid_too_coarse_for_the_array(config_path, tmp_pat
     assert sum(r["name"].startswith("fd-midgap") for r in rows) == 8
 
 
-def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
-                                           monkeypatch):
+def _plant_in_kernel(monkeypatch, fault):
+    """Route every field evaluation through a faulty region kernel."""
+    original = laplace._region_terms
+
+    def faulty(design, coeffs, y, region):
+        return fault(design, coeffs, y, *original(design, coeffs, y, region))
+
+    monkeypatch.setattr(laplace, "_region_terms", faulty)
+    monkeypatch.setattr(poisson, "_region_terms", faulty)
+
+
+def _flip_x4(design, coeffs, y, region, nk, P, Q):
+    return region, nk, P, -Q if region == "II" else Q
+
+
+# Planted faults: each takes pytest's monkeypatch and breaks one statement of
+# the program for the rest of the test.
+
+def _flip_dense_row(monkeypatch):
+    """A sign error in the dense reference's rows alone: the closed-vs-dense
+    check may not compare the closed form with itself."""
+    original = laplace._scaled_system
+
+    def flipped(*args):
+        A, rhs = original(*args)
+        A[:, 0, 1] = -A[:, 0, 1]
+        return A, rhs
+
+    monkeypatch.setattr(laplace, "_scaled_system", flipped)
+
+
+def _scale_hybrid_map(monkeypatch):
+    """A 1e-10 error in the exact hybrid-to-vector map."""
+    original = verify.vector_from_hybrid
+
+    def faulty(coeffs):
+        mapped = original(coeffs)
+        return dataclasses.replace(mapped, x1=mapped.x1 * (1 + 1e-10))
+
+    monkeypatch.setattr(verify, "vector_from_hybrid", faulty)
+
+
+def _flip_vector_row(monkeypatch):
+    """A sign error in the vector route's B_y row, whose rhs is nonzero."""
+    original = poisson._rows_vector
+
+    def flipped(design, nk, x):
+        rows = original(design, nk, x)
+        return [rows[0], -rows[1], *rows[2:]]
+
+    monkeypatch.setattr(poisson, "_rows_vector", flipped)
+
+
+def _scale_vector_bx_weights(monkeypatch):
+    original = poisson._vector_weights
+
+    def faulty(design, source, coeffs, y, region):
+        region, Ws, Wc = original(design, source, coeffs, y, region)
+        Wc = Wc.copy()
+        Wc[..., 1, :] *= 1 + 1e-8     # the B_x row
+        return region, Ws, Wc
+
+    monkeypatch.setattr(poisson, "_vector_weights", faulty)
+
+
+def _flip_raw_row(monkeypatch):
+    """A sign error in one row of the raw single-harmonic assembly."""
     original = laplace.assemble_system
 
     def flipped(design, src, n):
@@ -309,6 +374,98 @@ def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
         return A, rhs
 
     monkeypatch.setattr(laplace, "assemble_system", flipped)
+
+
+def _flip_region_two_term(monkeypatch):
+    _plant_in_kernel(monkeypatch, _flip_x4)
+
+
+def _scale_region_two_term(monkeypatch):
+    """A 1e-5 relative error in the region-II x4 term: a clean solve sits
+    near 1e-15 of the local max, this one near 8e-6."""
+    def scaled(design, coeffs, y, region, nk, P, Q):
+        return region, nk, P, Q * (1 + 1e-5) if region == "II" else Q
+
+    _plant_in_kernel(monkeypatch, scaled)
+
+
+def _scale_back_emf(monkeypatch):
+    original = quantities.back_emf
+
+    def faulty(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, emf=res.emf * (1 + 1e-8))
+
+    monkeypatch.setattr(quantities, "back_emf", faulty)
+
+
+def _mirror_region_one_exponent(monkeypatch):
+    """Region-I x1 term grown from the array instead of decaying from it:
+    unchanged at the array face, wrong at mid-gap."""
+    def mirrored(design, coeffs, y, region, nk, P, Q):
+        if region == "I":
+            P = coeffs.x1 * np.exp(nk * (design.g_e - y))
+        return region, nk, P, Q
+
+    _plant_in_kernel(monkeypatch, mirrored)
+
+
+def _double_fundamental(monkeypatch):
+    """The solved fundamental x1 doubled, as every check receives it."""
+    original = laplace.solve_coefficients
+
+    def doubled(design, src):
+        coeffs = original(design, src)
+        x1 = coeffs.x1.copy()
+        x1[0] *= 2
+        return dataclasses.replace(coeffs, x1=x1)
+
+    monkeypatch.setattr(laplace, "solve_coefficients", doubled)
+
+
+# The planted-fault ledger: for every `verify` family, a planted fault that
+# fails that family alone.
+FAULT_LEDGER = [
+    (_flip_dense_row, "closed-vs-dense"),
+    (_scale_hybrid_map, "tri-model maps"),
+    (_scale_vector_bx_weights, "tri-model fields"),
+    (_flip_raw_row, "boundary-rows"),
+    (_flip_region_two_term, "interface-jumps"),
+    (_scale_region_two_term, "interface-jumps"),
+    (_scale_back_emf, "power-balance"),
+    (_mirror_region_one_exponent, "fd-midgap"),
+]
+
+
+def _families(results) -> list[str]:
+    return [r.name.rsplit(" N_m=", 1)[0] for r in results]
+
+
+def _failing_families(design, trunc):
+    return _families(r for r in verify.verify_design(design, trunc) if not r.passed)
+
+
+def test_fault_ledger_covers_every_verify_family(trunc):
+    emitted = _families(verify.verify_design(make_case(2, False), trunc))
+    assert {family for _, family in FAULT_LEDGER} == set(emitted)
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+@pytest.mark.parametrize("plant, family", FAULT_LEDGER)
+def test_planted_fault_fails_its_family_alone(monkeypatch, trunc, back_iron,
+                                              plant, family):
+    design = make_case(2, back_iron)
+    assert _failing_families(design, trunc) == []
+    plant(monkeypatch)
+    assert _failing_families(design, trunc) == [family]
+
+
+# Earlier fault tests, each now planting its ledger fault.
+
+def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
+                                           monkeypatch):
+    # the ledger's boundary-rows fault, through the CLI's exit code
+    _flip_raw_row(monkeypatch)
     rc = cli.main(["verify", "--config", str(config_path),
                    "--out", str(tmp_path), "--skip-fd"])
     captured = capsys.readouterr().out
@@ -317,35 +474,48 @@ def test_verify_catches_planted_sign_error(config_path, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("back_iron", [False, True])
-def test_verify_catches_doubled_fundamental(back_iron, trunc):
-    design = make_case(2, back_iron)
-    src = fourier_coefficients(design, trunc)
-    good = laplace.solve_coefficients(design, src)
-    x1 = good.x1.copy()
-    x1[0] *= 2
-    bad = dataclasses.replace(good, x1=x1)
-    assert verify.check_closed_vs_dense(design, src, good).passed
-    assert not verify.check_closed_vs_dense(design, src, bad).passed
-    maps, _ = verify.check_tri_model(design, src, bad, n_points=20)
-    assert not maps.passed
+def test_verify_catches_doubled_fundamental(monkeypatch, back_iron, trunc):
+    # every family but power-balance, whose E I and u F share the error
+    _double_fundamental(monkeypatch)
+    assert _failing_families(make_case(2, back_iron), trunc) == [
+        "closed-vs-dense", "tri-model maps", "tri-model fields",
+        "boundary-rows", "interface-jumps", "fd-midgap"]
 
 
 @pytest.mark.parametrize("back_iron", [False, True])
 def test_closed_vs_dense_check_solves_the_dense_system(back_iron, trunc, monkeypatch):
-    # a sign error in the dense rows alone must show: the check may not
-    # compare the closed form with itself
     design = make_case(2, back_iron)
     src = fourier_coefficients(design, trunc)
     coeffs = laplace.solve_coefficients(design, src)
-    original = laplace._scaled_system
-
-    def flipped(*args):
-        A, rhs = original(*args)
-        A[:, 0, 1] = -A[:, 0, 1]
-        return A, rhs
-
-    monkeypatch.setattr(laplace, "_scaled_system", flipped)
+    _flip_dense_row(monkeypatch)
     assert not verify.check_closed_vs_dense(design, src, coeffs).passed
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_interface_jumps_catch_flipped_region_two_term(monkeypatch, trunc,
+                                                       back_iron):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = laplace.solve_coefficients(design, src)
+    _flip_region_two_term(monkeypatch)
+    assert not verify.check_interface_jumps(design, src, coeffs).passed
+
+
+@pytest.mark.parametrize("back_iron", [False, True])
+def test_interface_jumps_catch_a_small_region_two_error(monkeypatch, trunc,
+                                                        back_iron):
+    design = make_case(2, back_iron)
+    src = fourier_coefficients(design, trunc)
+    coeffs = laplace.solve_coefficients(design, src)
+    _scale_region_two_term(monkeypatch)
+    assert not verify.check_interface_jumps(design, src, coeffs).passed
+
+
+def test_fd_midgap_catches_wrong_region_one_exponent(monkeypatch, trunc):
+    design = make_case(2, False)
+    coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
+    _mirror_region_one_exponent(monkeypatch)
+    assert not verify.check_fd_midgap(design, coeffs).passed
 
 
 def test_flipped_closed_form_column_is_physics_failure(config_path, tmp_path, capsys,
@@ -362,84 +532,6 @@ def test_flipped_closed_form_column_is_physics_failure(config_path, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("physics failure: boundary solve residual")
     assert not out.exists()
-
-
-def _plant_in_kernel(monkeypatch, fault):
-    """Route every field evaluation through a faulty region kernel."""
-    original = laplace._region_terms
-
-    def faulty(design, coeffs, y, region):
-        return fault(design, coeffs, y, *original(design, coeffs, y, region))
-
-    monkeypatch.setattr(laplace, "_region_terms", faulty)
-    monkeypatch.setattr(poisson, "_region_terms", faulty)
-
-
-@pytest.mark.parametrize("back_iron", [False, True])
-def test_interface_jumps_catch_flipped_region_two_term(monkeypatch, trunc,
-                                                       back_iron):
-    design = make_case(2, back_iron)
-    src = fourier_coefficients(design, trunc)
-    coeffs = laplace.solve_coefficients(design, src)
-    assert verify.check_interface_jumps(design, src, coeffs).passed
-
-    def flip_x4(design, coeffs, y, region, nk, P, Q):
-        return region, nk, P, -Q if region == "II" else Q
-
-    _plant_in_kernel(monkeypatch, flip_x4)
-    assert not verify.check_interface_jumps(design, src, coeffs).passed
-
-
-@pytest.mark.parametrize("back_iron", [False, True])
-def test_interface_jumps_catch_a_small_region_two_error(trunc, back_iron):
-    # a clean solve sits near 1e-15 of the local max; a 1e-5 relative
-    # error in x4 moves it to about 8e-6
-    design = make_case(2, back_iron)
-    src = fourier_coefficients(design, trunc)
-    coeffs = laplace.solve_coefficients(design, src)
-    assert verify.check_interface_jumps(design, src, coeffs).passed
-    bad = dataclasses.replace(coeffs, x4=coeffs.x4 * (1 + 1e-5))
-    assert not verify.check_interface_jumps(design, src, bad).passed
-
-
-def _scale_vector_bx_weights(monkeypatch):
-    original = poisson._vector_weights
-
-    def faulty(design, source, coeffs, y, region):
-        region, Ws, Wc = original(design, source, coeffs, y, region)
-        Wc = Wc.copy()
-        Wc[..., 1, :] *= 1 + 1e-8     # the B_x row
-        return region, Ws, Wc
-
-    monkeypatch.setattr(poisson, "_vector_weights", faulty)
-
-
-def _scale_back_emf(monkeypatch):
-    original = quantities.back_emf
-
-    def faulty(*args, **kwargs):
-        res = original(*args, **kwargs)
-        return dataclasses.replace(res, emf=res.emf * (1 + 1e-8))
-
-    monkeypatch.setattr(quantities, "back_emf", faulty)
-
-
-def _failing_families(design, trunc):
-    return [r.name.rsplit(" N_m=", 1)[0]
-            for r in verify.verify_design(design, trunc, skip_fd=True) if not r.passed]
-
-
-@pytest.mark.parametrize("back_iron", [False, True])
-@pytest.mark.parametrize("plant, family", [
-    (_scale_vector_bx_weights, "tri-model fields"),
-    (_scale_back_emf, "power-balance"),
-])
-def test_planted_fault_fails_its_family_alone(monkeypatch, trunc, back_iron,
-                                              plant, family):
-    design = make_case(2, back_iron)
-    assert _failing_families(design, trunc) == []
-    plant(monkeypatch)
-    assert _failing_families(design, trunc) == [family]
 
 
 @pytest.mark.parametrize("model", ["laplace", poisson.MODEL_SCALAR,
@@ -461,31 +553,13 @@ def test_fault_planted_between_two_maps_shows_in_the_second(monkeypatch, trunc,
         return laplace.field_map(design, src, coeffs, xs, ys, evaluator)
 
     clean = field_map()
-
-    def flip_x4(design, coeffs, y, region, nk, P, Q):
-        return region, nk, P, -Q if region == "II" else Q
-
-    _plant_in_kernel(monkeypatch, flip_x4)
+    _flip_region_two_term(monkeypatch)
     faulty = field_map()
     assert _bits(faulty.B_x[1]).tolist() == _bits(clean.B_x[1]).tolist()
     for j in (0, 2):
         assert not np.isclose(faulty.B_x[j], clean.B_x[j]).any()
         for i, x in enumerate(xs.tolist()):
             assert faulty.B_x[j, i] == evaluator(design, src, coeffs, x, inside).B_x
-
-
-def test_fd_midgap_catches_wrong_region_one_exponent(monkeypatch, trunc):
-    design = make_case(2, False)
-    coeffs = laplace.solve_coefficients(design, fourier_coefficients(design, trunc))
-    assert verify.check_fd_midgap(design, coeffs).passed
-
-    def mirrored_exponent(design, coeffs, y, region, nk, P, Q):
-        if region == "I":
-            P = coeffs.x1 * np.exp(nk * (design.g_e - y))
-        return region, nk, P, Q
-
-    _plant_in_kernel(monkeypatch, mirrored_exponent)
-    assert not verify.check_fd_midgap(design, coeffs).passed
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from halmotor import laplace, poisson, verify
+from halmotor import laplace, verify
 from halmotor.config import MU0, HarmonicTruncation
 from halmotor.errors import OutOfDomain
 from halmotor.halbach import fourier_coefficients
@@ -22,6 +22,7 @@ from halmotor.poisson import (
 )
 
 from conftest import ALL_CASES, make_case
+from test_cli import _flip_vector_row
 
 
 # Map comparisons normalize by the largest stack entry: entries near the
@@ -406,13 +407,7 @@ def test_flipped_vector_row_fails_the_maps_check(back_iron, trunc, monkeypatch):
     coeffs = solve_coefficients(design, src)
     maps, _ = verify.check_tri_model(design, src, coeffs, n_points=20)
     assert maps.passed
-    original = poisson._rows_vector
-
-    def flipped(design, nk, x):
-        rows = original(design, nk, x)
-        return [rows[0], -rows[1], *rows[2:]]   # the B_y row, whose rhs is nonzero
-
-    monkeypatch.setattr(poisson, "_rows_vector", flipped)
+    _flip_vector_row(monkeypatch)
     maps, _ = verify.check_tri_model(design, src, coeffs, n_points=20)
     assert not maps.passed
 
