@@ -429,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt", type=_count_at_least(2), default=720,
                    help="time samples per period (default 720)")
     p.add_argument("--nscan", type=_count_at_least(1), default=360,
-                   help="force-angle sweep points, the rows of "
-                        "force_angle.csv (default 360)")
+                   help="force_angle.csv rows (default 360)")
 
     p = sub("emf", cmd_emf, "flux linkage, back-EMF, and phase currents")
     p.add_argument("--x0", type=_finite_float, default=0.0,

@@ -3,15 +3,12 @@
 Everything here consumes the region-I amplitudes A1 of a solved harmonic
 set.  The slot layout and the phase currents come from `config`
 (`slot_offsets`, `all_phase_currents`, `phase_phasors`,
-`slot_current_profile`); the
-array is displaced by u t + x_0.  Forces are per stator unit cell (one
-wavelength, both airgaps) at depth L.  Thrust, the force-angle scan, the
-optimal shift, flux linkage, EMF and EMF THD all come from one slot-window
-`LineTable`, built from solved coefficients by `line_table`, and every one
-of them takes that table: a caller that needs several quantities of one
-design builds it once.  The optimal shift is closed-form: only line n = 1
-adds to the period-mean thrust, so `optimal_shift` reads it off that
-column with no scan.
+`slot_current_profile`); the array is displaced by u t + x_0.  Forces are
+per stator unit cell (one wavelength, both airgaps) at depth L.  Thrust,
+the force-angle scan, the maximum-mean-thrust shift, flux linkage, EMF
+and EMF THD all come from one slot-window `LineTable`, built from solved
+coefficients by `line_table`, and every one of them takes that table: a
+caller that needs several quantities of one design builds it once.
 
 One routine, `_synthesize`, sums the table over the harmonics at array
 shifts.  The force-angle scan and one electrical period are uniform shift

@@ -309,10 +309,6 @@ def _plant_in_kernel(monkeypatch, fault):
     monkeypatch.setattr(poisson, "_region_terms", faulty)
 
 
-def _flip_x4(design, coeffs, y, region, nk, P, Q):
-    return region, nk, P, -Q if region == "II" else Q
-
-
 # Planted faults: each takes pytest's monkeypatch and breaks one statement of
 # the program for the rest of the test.
 
@@ -377,7 +373,11 @@ def _flip_raw_row(monkeypatch):
 
 
 def _flip_region_two_term(monkeypatch):
-    _plant_in_kernel(monkeypatch, _flip_x4)
+    """The sign of the region-II x4 term flipped."""
+    def flipped(design, coeffs, y, region, nk, P, Q):
+        return region, nk, P, -Q if region == "II" else Q
+
+    _plant_in_kernel(monkeypatch, flipped)
 
 
 def _scale_region_two_term(monkeypatch):

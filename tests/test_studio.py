@@ -32,10 +32,10 @@ def obj():
 def test_score_does_not_depend_on_the_time_origin(stage, obj, n_ph, n_m, back_iron):
     """phi_0 only moves the time origin, so the mean-thrust score is the same
     at every phi_0: the shift is the exact maximum-mean-thrust one, not a
-    t = 0 scan argmax (which lost 1.2e-3 at phi_0 = 0.3 on table1).  With
-    w_ripple > 0 the score also reads the ripple of the 720-sample period,
-    whose samples move with phi_0, so it still moves by about 1e-4
-    relative; that sampling is out of scope here."""
+    t = 0 scan argmax (which lost 1.2e-3 at phi_0 = 0.3 on table1).  Out of
+    scope: with w_ripple > 0 the score also reads the peak-to-peak of the
+    720-sample period, whose samples move with phi_0, so the ripple moves
+    by 2e-4 relative on table1 (7e-4 on the 5-phase design)."""
     scores = [evaluate_design(MotorDesign(**TABLE1 | {"N_m": n_m}, N_ph=n_ph,
                                           back_iron=back_iron, phi_0=phi_0),
                               stage, obj)[1]
