@@ -11,6 +11,7 @@ from halmotor.config import (
     PeriodicSteps,
     all_phase_currents,
     load_design,
+    phase_phasors,
     slot_current_profile,
     slot_offsets,
 )
@@ -146,6 +147,17 @@ def test_phase_currents_pattern(table1):
     np.testing.assert_allclose(stacked[1], -1e7 * np.cos(wt - 4 * math.pi / 3))
     np.testing.assert_allclose(stacked[2], 1e7 * np.cos(wt - 2 * math.pi / 3))
     assert all_phase_currents(table1, 0.0).shape == (3, 1)
+
+
+@pytest.mark.parametrize("n_ph", [3, 5])
+def test_phase_phasors_give_the_phase_currents(table1, n_ph):
+    design = dataclasses.replace(table1, N_ph=n_ph, phi_0=0.7)
+    ts = np.linspace(0, 0.02, 11)
+    phasors = phase_phasors(design)
+    assert phasors.shape == (n_ph,)
+    np.testing.assert_allclose(
+        (phasors[:, None] * np.exp(1j * design.omega * ts)).real,
+        all_phase_currents(design, ts), rtol=0, atol=1e-13 * design.J_max)
 
 
 def test_balanced_slot_sum(table1):
